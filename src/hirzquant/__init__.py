@@ -2,7 +2,7 @@
 
 The package builds the moment polytopes of scaled projective spaces and of
 twisted projective-line bundles over CP^d, counts their lattice points by
-independent routes (brute-force box scan, per-slice simplex sums, closed
+independent routes (row-bounded brute-force scan, per-slice simplex sums, closed
 forms), and verifies the recurrence, volume, and Bernoulli-density asymptotics
 of the count function with exact integer and rational arithmetic throughout.
 """

@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed",
         help="counting route; 'all' cross-checks the three routes",
     )
-    quantize.add_argument("--workers", type=int, default=1, help="brute-force scan workers")
     quantize.add_argument("--force", action="store_true", help="allow scans above the cell limit")
     quantize.set_defaults(handler=cmd_quantize)
 
@@ -95,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument(
         "--max-polytopes", type=int, default=100_000, help="max grid tuples in the oracle check"
     )
-    verify_cmd.add_argument("--workers", type=int, default=1, help="brute-force scan workers")
     verify_cmd.add_argument("--json", action="store_true", help="machine-readable report")
     verify_cmd.set_defaults(handler=cmd_verify)
 
@@ -115,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output path (default: sweep.<fmt> in $HIRZQUANT_SWEEP_DIR or the cwd)",
     )
-    sweep_cmd.add_argument("--workers", type=int, default=1, help="brute-force scan workers")
     sweep_cmd.add_argument("--force", action="store_true", help="allow scans above the cell limit")
     sweep_cmd.set_defaults(handler=cmd_sweep)
 
@@ -204,10 +201,10 @@ def cmd_quantize(args, parser) -> int:
     if blocked is not None:
         return blocked
     if args.method == "brute":
-        _print_json(counting.count_brute_force(poly, workers=args.workers).to_json())
+        _print_json(counting.count_brute_force(poly).to_json())
         return EXIT_OK
 
-    brute = counting.count_brute_force(poly, workers=args.workers).value
+    brute = counting.count_brute_force(poly).value
     sliced = counting.count_slice_sum(p).value
     closed = quantization_dimension(p).dimension
     agree = brute == sliced == closed
@@ -267,7 +264,6 @@ def cmd_verify(args, parser) -> int:
             nmax=args.nmax,
             n_list=n_list,
             budget=budget,
-            workers=args.workers,
         )
     except verify.ResourceLimitExceeded as exc:
         _emit_report(exc.partial, as_json=args.json)
@@ -320,7 +316,7 @@ def cmd_sweep(args, parser) -> int:
         out_dir = os.environ.get("HIRZQUANT_SWEEP_DIR", "")
         out_path = os.path.join(out_dir, f"sweep.{spec.fmt}") if out_dir else f"sweep.{spec.fmt}"
 
-    payload = sweep.render_sweep(spec, workers=args.workers)
+    payload = sweep.render_sweep(spec)
     try:
         with open(out_path, "wb") as handle:
             handle.write(payload)

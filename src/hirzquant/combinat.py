@@ -2,23 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), exact at any size.
 
-    Computed by the multiplicative formula; C(n, k) = 0 for k > n. Negative
-    arguments are rejected: no counting sum in this package ever needs them,
-    so a negative argument always signals a caller bug.
+    C(n, k) = 0 for k > n. Negative arguments are rejected: no counting sum in
+    this package ever needs them, so a negative argument always signals a
+    caller bug.
     """
     if n < 0:
         raise ValueError(f"binomial: negative upper argument n={n}")
     if k < 0:
         raise ValueError(f"binomial: negative lower argument k={k}")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    # out * (n - k + i) is always divisible by i: the running value is C(n-k+i, i).
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)

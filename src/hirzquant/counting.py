@@ -1,34 +1,23 @@
 """Lattice-point counts by three independent routes, plus the monomial basis.
 
-The brute-force route scans the bounding box and tests membership; it is the
-ground truth every closed form is checked against. The scan runs on the
-compiled kernel when it is importable and the data provably fits in int64,
-and on the pure-Python kernel otherwise (or always, when the environment
-variable HIRZQUANT_PURE is set to a nonempty value other than "0").
+The brute-force route is the ground truth every closed form is checked
+against. It scans the polytope with one loop nest whose bounds come from the
+rows (Ancourt & Irigoin, "Scanning polyhedra with DO loops", PPoPP 1991):
+each outer axis runs only over the values every row still allows once the
+outer coordinates are fixed and the inner terms take their box minimum, and
+the innermost axis is counted in one step as the length of the interval all
+rows leave open. Arithmetic is exact at any size.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
-from . import _purecount
 from .combinat import binomial
 from .polytope import FibrationParams, HPolytope, LatticePoint, SimplexParams, bounding_box, contains
-
-try:
-    from . import _fastcount
-except ImportError:
-    _fastcount = None
-
-_FORCE_PURE = os.environ.get("HIRZQUANT_PURE", "") not in ("", "0")
-
-# Compiled-path safety margin: every row evaluation, box edge value and the
-# total cell count must stay below this for int64 arithmetic to be safe.
-_INT64_SAFE = 1 << 60
 
 
 class CountMethod(Enum):
@@ -66,28 +55,19 @@ class MonomialBasis:
         return [list(e) for e in self.exponents]
 
 
-def active_backend() -> str:
-    """Name of the kernel the dispatcher prefers: 'compiled' or 'pure'."""
-    return "pure" if (_fastcount is None or _FORCE_PURE) else "compiled"
-
-
-def count_brute_force(poly: HPolytope, workers: int = 1) -> CountResult:
-    """Exact point count by scanning the bounding box and testing every cell.
-
-    `workers` > 1 partitions the outermost (last) coordinate range into
-    contiguous chunks; the result is identical for every worker count.
-    """
-    total, _ = _boxed_count(poly, workers)
+def count_brute_force(poly: HPolytope) -> CountResult:
+    """Exact point count by scanning the polytope inside its bounding box."""
+    total, _ = _boxed_count(poly)
     return CountResult(value=total, method=CountMethod.BRUTE_FORCE)
 
 
-def brute_force_slice_counts(poly: HPolytope, workers: int = 1) -> tuple[int, ...]:
+def brute_force_slice_counts(poly: HPolytope) -> tuple[int, ...]:
     """Per-height counts along the last coordinate, from the same single scan.
 
     Entry i counts the points whose last coordinate is box_lower[-1] + i; for
     the twisted-bundle family this is exactly the foliation profile.
     """
-    _, profile = _boxed_count(poly, workers)
+    _, profile = _boxed_count(poly)
     return tuple(profile)
 
 
@@ -110,59 +90,79 @@ def monomial_basis(poly: HPolytope) -> MonomialBasis:
     return MonomialBasis(exponents=points)
 
 
-def _boxed_count(poly: HPolytope, workers: int) -> tuple[int, list[int]]:
+def _boxed_count(poly: HPolytope) -> tuple[int, list[int]]:
     lo, hi = bounding_box(poly)
     coeffs = [row for row, _ in poly.rows]
     bounds = [bound for _, bound in poly.rows]
-    width = hi[-1] - lo[-1] + 1
-    if workers <= 1 or width <= 1:
-        return _count_box(coeffs, bounds, list(lo), list(hi))
-
-    pieces = _split_range(lo[-1], hi[-1], workers)
-
-    def run(piece: tuple[int, int]) -> tuple[int, list[int]]:
-        sub_lo, sub_hi = list(lo), list(hi)
-        sub_lo[-1], sub_hi[-1] = piece
-        return _count_box(coeffs, bounds, sub_lo, sub_hi)
-
-    with ThreadPoolExecutor(max_workers=len(pieces)) as pool:
-        results = list(pool.map(run, pieces))
-    total = sum(t for t, _ in results)
-    profile = [c for _, prof in results for c in prof]
-    return total, profile
+    return count_box(coeffs, bounds, lo, hi)
 
 
-def _count_box(coeffs, bounds, lower, upper) -> tuple[int, list[int]]:
-    if _fastcount is not None and not _FORCE_PURE and _fits_compiled(coeffs, bounds, lower, upper):
-        return _fastcount.count_box(coeffs, bounds, lower, upper)
-    return _purecount.count_box(coeffs, bounds, lower, upper)
+def count_box(
+    coeffs: Sequence[Sequence[int]],
+    bounds: Sequence[int],
+    lower: Sequence[int],
+    upper: Sequence[int],
+) -> tuple[int, list[int]]:
+    """Count integer points of {x : coeffs . x <= bounds rowwise} in the box.
 
+    The box is the integer product [lower_j, upper_j]. Returns (total, profile)
+    where profile[i] counts the points whose last coordinate is lower[-1] + i.
+    """
+    dim = len(lower)
+    last_lo, last_hi = lower[-1], upper[-1]
+    if last_hi < last_lo:
+        return 0, []
+    profile = [0] * (last_hi - last_lo + 1)
+    if any(lo > hi for lo, hi in zip(lower, upper)):
+        return 0, profile
 
-def _fits_compiled(coeffs, bounds, lower, upper) -> bool:
-    cells = 1
-    for lo_j, hi_j in zip(lower, upper):
-        if abs(lo_j) >= _INT64_SAFE or abs(hi_j) >= _INT64_SAFE:
-            return False
-        cells *= max(0, hi_j - lo_j + 1)
-    if cells >= _INT64_SAFE:
-        return False
-    for row, bound in zip(coeffs, bounds):
-        if abs(bound) >= _INT64_SAFE:
-            return False
-        reach = sum(abs(c) * max(abs(lo_j), abs(hi_j)) for c, lo_j, hi_j in zip(row, lower, upper))
-        if reach >= _INT64_SAFE:
-            return False
-    return True
+    # Sort the rows by their lowest nonzero axis. The rows with a nonzero
+    # coefficient below axis j then form a prefix, and only that prefix is
+    # carried into the loops inside axis j: axis j's own interval settles the
+    # others exactly. All rows are live at the last axis, so an all-zero row
+    # with a negative bound empties the scan there.
+    lowest = [next((j for j, c in enumerate(row) if c), dim) for row in coeffs]
+    rows = sorted(zip(lowest, coeffs, bounds), key=lambda row: row[0])
+    cols = [[row[j] for _, row, _ in rows] for j in range(dim)]
+    # step[j]: the axis-j coefficients of the rows still live below axis j.
+    step = [None] + [[row[j] for low, row, _ in rows if low < j] for j in range(1, dim)]
+    # floors[j][r]: the box minimum of row r's terms on the axes below j. A
+    # value of axis j that a row rules out even then is out for every inner
+    # coordinate. floors[0] is all zero, which makes axis 0's interval exact.
+    floors = [[0] * len(rows)]
+    for lo, hi, col in zip(lower, upper, cols[:-1]):
+        floors.append([m + min(c * lo, c * hi) for m, c in zip(floors[-1], col)])
 
+    def interval(j: int, slack: list[int]) -> tuple[int, int]:
+        # Values of axis j with cols[j][r] * x <= slack[r] - floors[j][r] for
+        # every live row r; zip stops at the end of slack, the live prefix.
+        lo, hi = lower[j], upper[j]
+        for c, s, m in zip(cols[j], slack, floors[j]):
+            room = s - m
+            if c > 0:
+                hi = min(hi, room // c)
+            elif c < 0:
+                lo = max(lo, -(room // -c))
+            elif room < 0:
+                return 1, 0
+        return lo, hi
 
-def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    width = hi - lo + 1
-    k = max(1, min(workers, width))
-    base, extra = divmod(width, k)
-    pieces = []
-    start = lo
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        pieces.append((start, start + size - 1))
-        start += size
-    return pieces
+    def count(j: int, slack: list[int]) -> int:
+        # Points on axes 0..j, given each live row's bound minus its outer terms.
+        lo, hi = interval(j, slack)
+        if j == 0:
+            return max(0, hi - lo + 1)
+        col = step[j]
+        inner = ([s - c * x for s, c in zip(slack, col)] for x in range(lo, hi + 1))
+        if j == 1:  # count(0, ...) inlined: this is the hottest loop
+            return sum(max(0, b - a + 1) for a, b in map(interval, itertools.repeat(0), inner))
+        return sum(count(j - 1, s) for s in inner)
+
+    top = [bound for _, _, bound in rows]
+    lo, hi = interval(dim - 1, top)
+    for x in range(lo, hi + 1):
+        if dim == 1:  # axis 0 is the last axis, and its interval is exact
+            profile[x - last_lo] = 1
+        else:
+            profile[x - last_lo] = count(dim - 2, [s - c * x for s, c in zip(top, step[-1])])
+    return sum(profile), profile

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .combinat import binomial
 from .polytope import FibrationParams
@@ -94,16 +93,12 @@ def quantization_dimension(p: FibrationParams) -> QuantizationRecord:
 
 
 def hirzebruch_surface_closed_form(a: int, b: int, n: int) -> int:
-    """d = 1 closed form (a + 1 + n*b/2) * (b + 1), verified integral.
-
-    The product is an integer for all nonnegative a, b, n: when b is odd,
-    b + 1 is even and absorbs the half.
-    """
+    """d = 1 closed form (a + 1 + n*b/2) * (b + 1), an integer for all a, b, n >= 0."""
     if min(a, b, n) < 0:
         raise ValueError("parameters must be nonnegative")
-    value = (Fraction(n * b, 2) + a + 1) * (b + 1)
-    assert value.denominator == 1, f"non-integral surface count {value}"
-    return int(value)
+    # (2a + 2 + n*b) * (b + 1) is even: if b is odd, b + 1 is even; if b is
+    # even, so is 2a + 2 + n*b.
+    return (2 * a + 2 + n * b) * (b + 1) // 2
 
 
 def untwisted_product_formula(p: FibrationParams) -> IdentityReport:

@@ -60,7 +60,7 @@ class SweepSpec:
         ]
 
 
-def render_sweep(spec: SweepSpec, workers: int = 1) -> bytes:
+def render_sweep(spec: SweepSpec) -> bytes:
     """Render the sweep to its output bytes (UTF-8, LF line endings)."""
     n_max = spec.n_range[1]
     rows = []
@@ -73,7 +73,7 @@ def render_sweep(spec: SweepSpec, workers: int = 1) -> bytes:
             extra["slice_count"] = counting.count_slice_sum(p).value
         if "brute" in spec.methods:
             poly = build_hirzebruch_polytope(p)
-            extra["brute_count"] = counting.count_brute_force(poly, workers=workers).value
+            extra["brute_count"] = counting.count_brute_force(poly).value
         rows.append((p, record, volume, gap, extra))
 
     if spec.fmt == "csv":

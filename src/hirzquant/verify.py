@@ -130,7 +130,6 @@ def check_oracle_grid(
     bmax: int = 3,
     nmax: int = 3,
     budget: ScanBudget | None = None,
-    workers: int = 1,
 ) -> CheckResult:
     """Brute-force count == slice-sum count == term-by-term dimension."""
     budget = budget or ScanBudget()
@@ -141,7 +140,7 @@ def check_oracle_grid(
     for p in grid:
         poly = build_hirzebruch_polytope(p)
         budget.charge(poly)
-        brute = counting.count_brute_force(poly, workers=workers).value
+        brute = counting.count_brute_force(poly).value
         sliced = counting.count_slice_sum(p).value
         closed = quantization_dimension(p).dimension
         if not (brute == sliced == closed):
@@ -283,14 +282,14 @@ def check_volume_integration(dmax: int = 3, amax: int = 3, bmax: int = 3, nmax: 
     return result
 
 
-def check_ehrhart_dilation(budget: ScanBudget | None = None, workers: int = 1) -> CheckResult:
+def check_ehrhart_dilation(budget: ScanBudget | None = None) -> CheckResult:
     """count(k*P)/k^dim approximates the volume: k=100 on (1,1,2,1) within 5%."""
     budget = budget or ScanBudget()
     p = FibrationParams(d=1, a=1, b=2, n=1)
     k = 100
     scaled = dilate(build_hirzebruch_polytope(p), k)
     budget.charge(scaled)
-    count = counting.count_brute_force(scaled, workers=workers).value
+    count = counting.count_brute_force(scaled).value
     volume = analysis.symplectic_volume(p)
     density = Fraction(count, k ** (p.d + 1))
     relative_gap = abs(density - volume) / volume
@@ -350,34 +349,6 @@ def check_sweep_determinism() -> CheckResult:
     return result
 
 
-def check_worker_invariance(budget: ScanBudget | None = None) -> CheckResult:
-    """Brute-force counts and profiles are identical for 1 and several workers."""
-    budget = budget or ScanBudget()
-    result = CheckResult(name="worker_invariance", cases=0, failures=0)
-    samples = [
-        FibrationParams(d=1, a=1, b=2, n=1),
-        FibrationParams(d=2, a=3, b=3, n=2),
-        FibrationParams(d=3, a=2, b=1, n=3),
-        FibrationParams(d=1, a=0, b=0, n=5),
-    ]
-    for p in samples:
-        poly = build_hirzebruch_polytope(p)
-        budget.charge(poly)
-        result.cases += 1
-        baseline = counting.count_brute_force(poly, workers=1).value
-        profile = counting.brute_force_slice_counts(poly, workers=1)
-        for workers in (2, 3, 7):
-            if (
-                counting.count_brute_force(poly, workers=workers).value != baseline
-                or counting.brute_force_slice_counts(poly, workers=workers) != profile
-            ):
-                result.failures += 1
-                if result.first_counterexample is None:
-                    result.first_counterexample = f"{p} at workers={workers}"
-                break
-    return result
-
-
 def run_verification(
     dmax: int = 3,
     amax: int = 3,
@@ -385,14 +356,13 @@ def run_verification(
     nmax: int = 3,
     n_list: tuple[int, ...] = (10, 100, 1000),
     budget: ScanBudget | None = None,
-    workers: int = 1,
 ) -> VerifyReport:
     """Run every check; raise ResourceLimitExceeded (with the partial report)
     when a scan would blow the budget."""
     budget = budget or ScanBudget()
     report = VerifyReport()
     steps = [
-        lambda: check_oracle_grid(dmax, amax, bmax, nmax, budget=budget, workers=workers),
+        lambda: check_oracle_grid(dmax, amax, bmax, nmax, budget=budget),
         lambda: check_simplex_closed_form(budget=budget),
         check_surface_closed_form,
         check_untwisted_product,
@@ -401,11 +371,10 @@ def run_verification(
         check_blowup_decomposition_uncorrected,
         check_recurrence,
         lambda: check_volume_integration(dmax, amax, bmax, nmax),
-        lambda: check_ehrhart_dilation(budget=budget, workers=workers),
+        lambda: check_ehrhart_dilation(budget=budget),
         lambda: check_asymptotic_bplus(tuple(n_list)),
         check_asymptotic_bminus,
         check_sweep_determinism,
-        lambda: check_worker_invariance(budget=budget),
     ]
     for step in steps:
         try:

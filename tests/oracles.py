@@ -1,13 +1,15 @@
 """Independent exact-arithmetic oracles used only by the tests.
 
-Deliberately brute force: rational Gaussian elimination and Caratheodory-style
-subset enumeration, sharing no code with the package under test.
+Deliberately brute force: rational Gaussian elimination, Caratheodory-style
+subset enumeration and a box odometer, sharing no code with the package under
+test.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 
 def exact_rank(rows) -> int:
@@ -76,3 +78,45 @@ def in_convex_hull(point, generators) -> bool:
             if lam is not None and all(l >= 0 for l in lam):
                 return True
     return False
+
+
+def count_box(
+    coeffs: Sequence[Sequence[int]],
+    bounds: Sequence[int],
+    lower: Sequence[int],
+    upper: Sequence[int],
+) -> tuple[int, list[int]]:
+    """Count integer points of {x : coeffs . x <= bounds rowwise} in the box.
+
+    The box is the integer product [lower_j, upper_j]. Returns (total, profile)
+    where profile[i] counts the points whose last coordinate is lower[-1] + i.
+    """
+    dim = len(lower)
+    last_lo, last_hi = lower[dim - 1], upper[dim - 1]
+    if last_hi < last_lo:
+        return 0, []
+    width = last_hi - last_lo + 1
+    if any(lo > hi for lo, hi in zip(lower, upper)):
+        return 0, [0] * width
+
+    inner = [range(lo, hi + 1) for lo, hi in zip(lower[:-1], upper[:-1])]
+    profile = []
+    for x_last in range(last_lo, last_hi + 1):
+        # Fold the fixed last coordinate into each row's bound.
+        reduced = [
+            (row[:-1], bound - row[-1] * x_last) for row, bound in zip(coeffs, bounds)
+        ]
+        hits = 0
+        for rest in itertools.product(*inner):
+            ok = True
+            for row, limit in reduced:
+                acc = 0
+                for c, v in zip(row, rest):
+                    acc += c * v
+                if acc > limit:
+                    ok = False
+                    break
+            if ok:
+                hits += 1
+        profile.append(hits)
+    return sum(profile), profile

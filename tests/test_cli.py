@@ -60,7 +60,7 @@ def test_quantize_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(
         counting,
         "count_brute_force",
-        lambda poly, workers=1: CountResult(value=0, method=CountMethod.BRUTE_FORCE),
+        lambda poly: CountResult(value=0, method=CountMethod.BRUTE_FORCE),
     )
     code, out, err = run_cli(
         capsys, "quantize", "--d", "1", "--a", "1", "--b", "2", "--n", "1", "--method", "all"
@@ -275,3 +275,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"num": "4", "den": "1"}
+
+    # The shipped verification path, with asserts stripped by -O.
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hirzquant", "verify"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "OVERALL PASS"
+    assert not any("worker_invariance" in line for line in lines)

@@ -1,18 +1,14 @@
-"""Kernel parity: compiled vs pure scan, worker partitioning, int64 routing."""
+"""The row-bounded scan kernel against the box odometer in ``oracles``."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hirzquant import _purecount, counting
-from hirzquant.polytope import FibrationParams, HPolytope, build_hirzebruch_polytope
-
-try:
-    from hirzquant import _fastcount
-except ImportError:
-    _fastcount = None
-
-needs_compiled = pytest.mark.skipif(_fastcount is None, reason="compiled kernel not built")
+import oracles
+from hirzquant import counting
+from hirzquant.polytope import HPolytope
 
 CASES = [
     # (coeffs, bounds, lower, upper) with assorted signs and shapes
@@ -23,19 +19,38 @@ CASES = [
     ([], [], [0, 0], [2, 2]),          # no rows: every box cell counts
     ([(1, 1)], [3], [0, 5], [3, 2]),   # empty axis range
     ([(1, 1)], [-1], [0, 0], [2, 2]),  # infeasible rows
+    ([(1, 1), (0, 0)], [3, -1], [0, 0], [2, 2]),  # an all-zero infeasible row
 ]
 
 
-@needs_compiled
 @pytest.mark.parametrize("coeffs,bounds,lower,upper", CASES)
-def test_compiled_matches_pure(coeffs, bounds, lower, upper):
-    assert _fastcount.count_box(coeffs, bounds, lower, upper) == _purecount.count_box(
+def test_kernel_matches_oracle(coeffs, bounds, lower, upper):
+    assert counting.count_box(coeffs, bounds, lower, upper) == oracles.count_box(
         coeffs, bounds, lower, upper
     )
 
 
+@st.composite
+def boxed_rows(draw):
+    """Up to 5 mixed-sign rows in dimension 1-4, over a box whose axes may be empty."""
+    dim = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, 5))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=nrows, max_size=nrows))
+    bounds = draw(st.lists(st.integers(-6, 12), min_size=nrows, max_size=nrows))
+    lower = draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim))
+    widths = draw(st.lists(st.integers(-1, 6), min_size=dim, max_size=dim))
+    upper = [lo + w for lo, w in zip(lower, widths)]
+    return coeffs, bounds, lower, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_rows())
+def test_kernel_matches_oracle_property(case):
+    assert counting.count_box(*case) == oracles.count_box(*case)
+
+
 def test_pure_kernel_profile_semantics():
-    total, profile = _purecount.count_box(
+    total, profile = counting.count_box(
         [(-1, 0), (0, -1), (0, 1), (1, 1)], [0, 0, 2, 3], [0, 0], [3, 2]
     )
     assert total == 9
@@ -43,78 +58,17 @@ def test_pure_kernel_profile_semantics():
 
 
 def test_pure_kernel_empty_last_axis():
-    assert _purecount.count_box([(1, 1)], [3], [0, 5], [3, 2]) == (0, [])
+    assert counting.count_box([(1, 1)], [3], [0, 5], [3, 2]) == (0, [])
 
 
 def test_pure_kernel_empty_inner_axis():
-    total, profile = _purecount.count_box([(1, 1)], [3], [5, 0], [3, 2])
+    total, profile = counting.count_box([(1, 1)], [3], [5, 0], [3, 2])
     assert total == 0
     assert profile == [0, 0, 0]
 
 
-def test_worker_counts_agree():
-    for p in (
-        FibrationParams(d=1, a=1, b=2, n=1),
-        FibrationParams(d=2, a=3, b=3, n=2),
-        FibrationParams(d=3, a=2, b=1, n=3),
-        FibrationParams(d=1, a=0, b=0, n=5),
-    ):
-        poly = build_hirzebruch_polytope(p)
-        baseline = counting.count_brute_force(poly, workers=1).value
-        profile = counting.brute_force_slice_counts(poly, workers=1)
-        for workers in (2, 3, 8):
-            assert counting.count_brute_force(poly, workers=workers).value == baseline, p
-            assert counting.brute_force_slice_counts(poly, workers=workers) == profile, p
-
-
 def test_huge_bounds_fall_back_to_pure_and_stay_exact():
-    # Three points near 10**20: far outside int64, must route to the pure kernel.
+    # Three points near 10**20, far outside 64-bit integers: the count stays exact.
     big = 10**20
     poly = HPolytope(dim=1, rows=(((1,), big), ((-1,), -(big - 2))))
-    assert not counting._fits_compiled([(1,), (-1,)], [big, -(big - 2)], [big - 2], [big])
     assert counting.count_brute_force(poly).value == 3
-
-
-def test_fits_compiled_accepts_small_data():
-    assert counting._fits_compiled([(1, 1)], [3], [0, 0], [3, 2])
-
-
-def test_forced_pure_dispatch(monkeypatch):
-    monkeypatch.setattr(counting, "_FORCE_PURE", True)
-    poly = build_hirzebruch_polytope(FibrationParams(d=2, a=2, b=2, n=2))
-    forced = counting.count_brute_force(poly, workers=3).value
-    monkeypatch.setattr(counting, "_FORCE_PURE", False)
-    assert forced == counting.count_brute_force(poly).value
-
-
-@needs_compiled
-def test_backend_report():
-    assert counting.active_backend() in ("compiled", "pure")
-
-
-def test_split_range_partitions_exactly():
-    for lo, hi, workers in ((0, 10, 3), (0, 0, 4), (-3, 5, 2), (0, 6, 10)):
-        pieces = counting._split_range(lo, hi, workers)
-        covered = [x for a, b in pieces for x in range(a, b + 1)]
-        assert covered == list(range(lo, hi + 1))
-
-
-@needs_compiled
-def test_random_differential_fuzz():
-    # Seeded random rows/boxes with mixed signs: the kernels must agree exactly.
-    import random
-
-    rng = random.Random(20240811)
-    for _ in range(200):
-        dim = rng.randint(1, 4)
-        nrows = rng.randint(0, 5)
-        coeffs = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(nrows)]
-        bounds = [rng.randint(-6, 12) for _ in range(nrows)]
-        lower, upper = [], []
-        for _ in range(dim):
-            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-            lower.append(min(a, b))
-            upper.append(max(a, b) if rng.random() > 0.1 else min(a, b) - 1)
-        fast = _fastcount.count_box(coeffs, bounds, lower, upper)
-        pure = _purecount.count_box(coeffs, bounds, lower, upper)
-        assert fast == pure, (coeffs, bounds, lower, upper)

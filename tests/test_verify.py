@@ -25,7 +25,6 @@ def test_default_run_passes():
         "asymptotic_gap_bplus",
         "asymptotic_gap_bminus",
         "sweep_determinism",
-        "worker_invariance",
     ]
 
 
