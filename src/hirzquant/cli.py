@@ -25,6 +25,8 @@ from .quantization import quantization_dimension
 
 # Refuse brute-force scans above this many box cells unless --force is given.
 BRUTE_CELL_LIMIT = 10**8
+# Refuse sweeps of more than this many rows unless --force is given.
+SWEEP_ROW_LIMIT = 10**6
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -113,7 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output path (default: sweep.<fmt> in $HIRZQUANT_SWEEP_DIR or the cwd)",
     )
-    sweep_cmd.add_argument("--force", action="store_true", help="allow scans above the cell limit")
+    sweep_cmd.add_argument(
+        "--force",
+        action="store_true",
+        help="allow sweeps above the row limit and scans above the cell limit",
+    )
     sweep_cmd.set_defaults(handler=cmd_sweep)
 
     asymptotics = sub.add_parser("asymptotics", help="ratio-convergence table")
@@ -175,16 +181,17 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _guard_cells(poly: HPolytope, force: bool) -> int | None:
-    cells = box_cell_count(poly)
-    if cells > BRUTE_CELL_LIMIT and not force:
-        print(
-            f"error: scan of {cells} cells exceeds the limit {BRUTE_CELL_LIMIT}; "
-            "re-run with --force to override",
-            file=sys.stderr,
-        )
+def _guard(what: str, size: int, limit: int, force: bool) -> int | None:
+    if size > limit and not force:
+        message = f"error: {what} exceeds the limit {limit}; re-run with --force to override"
+        print(message, file=sys.stderr)
         return EXIT_RESOURCE
     return None
+
+
+def _guard_cells(poly: HPolytope, force: bool) -> int | None:
+    cells = box_cell_count(poly)
+    return _guard(f"scan of {cells} cells", cells, BRUTE_CELL_LIMIT, force)
 
 
 def cmd_quantize(args, parser) -> int:
@@ -288,7 +295,8 @@ def _emit_report(report: verify.VerifyReport, as_json: bool) -> None:
         if check.first_counterexample:
             line += f" (first: {check.first_counterexample})"
         print(line)
-    print(f"OVERALL {'PASS' if report.overall_pass else 'FAIL'}")
+    verdict = "INCOMPLETE" if report.incomplete else "PASS" if report.overall_pass else "FAIL"
+    print(f"OVERALL {verdict}")
 
 
 def cmd_sweep(args, parser) -> int:
@@ -305,6 +313,9 @@ def cmd_sweep(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    blocked = _guard(f"sweep of {len(spec)} rows", len(spec), SWEEP_ROW_LIMIT, args.force)
+    if blocked is not None:
+        return blocked
     if "brute" in spec.methods:
         for p in spec.tuples():
             blocked = _guard_cells(build_hirzebruch_polytope(p), args.force)
@@ -323,7 +334,7 @@ def cmd_sweep(args, parser) -> int:
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(spec.tuples())} rows to {out_path} ({spec.fmt})")
+    print(f"wrote {len(spec)} rows to {out_path} ({spec.fmt})")
     return EXIT_OK
 
 

@@ -96,13 +96,12 @@ class HPolytope:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, require_bounded: bool = True) -> "HPolytope":
+    def from_json(cls, obj: dict) -> "HPolytope":
         poly = cls(
             dim=int(obj["dim"]),
             rows=tuple((tuple(row["coeffs"]), row["bound"]) for row in obj["rows"]),
         )
-        if require_bounded:
-            bounding_box(poly)  # raises UnboundedPolytopeError if not certifiable
+        bounding_box(poly)  # raises UnboundedPolytopeError if not certifiable
         return poly
 
 

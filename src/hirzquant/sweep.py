@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import prod
+from typing import Iterator
 
 from . import analysis, counting
 from .polytope import FibrationParams, build_hirzebruch_polytope
@@ -17,10 +20,16 @@ from .quantization import quantization_dimension
 
 VALID_METHODS = ("closed", "slice", "brute")
 
+# The count each optional method adds to a row, keyed by method name.
+_EXTRA_COUNTS = {
+    "slice": lambda p: counting.count_slice_sum(p).value,
+    "brute": lambda p: counting.count_brute_force(build_hirzebruch_polytope(p)).value,
+}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Inclusive parameter ranges, count methods to run, and output settings."""
+    """Inclusive parameter ranges, count methods to run, and output format."""
 
     d_range: tuple[int, int]
     a_range: tuple[int, int]
@@ -28,15 +37,9 @@ class SweepSpec:
     n_range: tuple[int, int]
     methods: tuple[str, ...] = ("closed",)
     fmt: str = "csv"
-    out_path: str = ""
 
     def __post_init__(self):
-        for name, (lo, hi) in (
-            ("d", self.d_range),
-            ("a", self.a_range),
-            ("b", self.b_range),
-            ("n", self.n_range),
-        ):
+        for name, (lo, hi) in zip("dabn", self.ranges):
             if lo > hi:
                 raise ValueError(f"empty {name} range {lo}:{hi}")
             floor = 1 if name == "d" else 0
@@ -50,35 +53,34 @@ class SweepSpec:
         if "closed" not in self.methods:
             object.__setattr__(self, "methods", ("closed",) + tuple(self.methods))
 
-    def tuples(self) -> list[FibrationParams]:
-        return [
-            FibrationParams(d=d, a=a, b=b, n=n)
-            for d in _span(self.d_range)
-            for a in _span(self.a_range)
-            for b in _span(self.b_range)
-            for n in _span(self.n_range)
-        ]
+    @property
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        return (self.d_range, self.a_range, self.b_range, self.n_range)
+
+    def __len__(self) -> int:
+        """The number of (d, a, b, n) tuples, i.e. of rows in the output."""
+        return prod(hi - lo + 1 for lo, hi in self.ranges)
+
+    def tuples(self) -> Iterator[FibrationParams]:
+        for d, a, b, n in product(*map(_span, self.ranges)):
+            yield FibrationParams(d=d, a=a, b=b, n=n)
 
 
 def render_sweep(spec: SweepSpec) -> bytes:
     """Render the sweep to its output bytes (UTF-8, LF line endings)."""
     n_max = spec.n_range[1]
+    extras = [m for m in _EXTRA_COUNTS if m in spec.methods]
     rows = []
-    for p in spec.tuples():
-        record = quantization_dimension(p)
-        volume = analysis.symplectic_volume(p)
-        gap = _gap_at(p.d, p.a, p.b, n_max)
-        extra = {}
-        if "slice" in spec.methods:
-            extra["slice_count"] = counting.count_slice_sum(p).value
-        if "brute" in spec.methods:
-            poly = build_hirzebruch_polytope(p)
-            extra["brute_count"] = counting.count_brute_force(poly).value
-        rows.append((p, record, volume, gap, extra))
-
+    for d, a, b in product(*map(_span, spec.ranges[:3])):
+        gap = _gap_at(d, a, b, n_max)
+        for n in _span(spec.n_range):
+            p = FibrationParams(d=d, a=a, b=b, n=n)
+            counts = [_EXTRA_COUNTS[m](p) for m in extras]
+            rows.append((p, quantization_dimension(p), analysis.symplectic_volume(p), gap, counts))
+    keys = [f"{m}_count" for m in extras]
     if spec.fmt == "csv":
-        return _render_csv(spec, rows)
-    return _render_json(rows)
+        return _render_csv(keys, rows)
+    return _render_json(keys, rows)
 
 
 def _gap_at(d: int, a: int, b: int, n_max: int) -> Fraction | None:
@@ -88,38 +90,25 @@ def _gap_at(d: int, a: int, b: int, n_max: int) -> Fraction | None:
     return analysis.ratio_convergence(d, a, b, [n_max])[0].gap
 
 
-def _render_csv(spec: SweepSpec, rows) -> bytes:
-    header = ["d", "a", "b", "n", "dimension"]
-    if "slice" in spec.methods:
-        header.append("slice_count")
-    if "brute" in spec.methods:
-        header.append("brute_count")
+def _render_csv(keys: list[str], rows) -> bytes:
+    header = ["d", "a", "b", "n", "dimension", *keys]
     header += ["volume_num", "volume_den", "gap_at_nmax_num", "gap_at_nmax_den"]
     lines = [",".join(header)]
-    for p, record, volume, gap, extra in rows:
-        cells = [str(p.d), str(p.a), str(p.b), str(p.n), str(record.dimension)]
-        if "slice" in spec.methods:
-            cells.append(str(extra["slice_count"]))
-        if "brute" in spec.methods:
-            cells.append(str(extra["brute_count"]))
-        cells += [str(volume.numerator), str(volume.denominator)]
-        if gap is None:
-            cells += ["", ""]
-        else:
-            cells += [str(gap.numerator), str(gap.denominator)]
-        lines.append(",".join(cells))
+    for p, record, volume, gap, counts in rows:
+        cells = [p.d, p.a, p.b, p.n, record.dimension, *counts]
+        cells += [volume.numerator, volume.denominator]
+        cells += ["", ""] if gap is None else [gap.numerator, gap.denominator]
+        lines.append(",".join(map(str, cells)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _render_json(rows) -> bytes:
+def _render_json(keys: list[str], rows) -> bytes:
     payload = []
-    for _, record, volume, gap, extra in rows:
+    for _, record, volume, gap, counts in rows:
         obj = record.to_json()
         obj["volume"] = analysis.rational_json(volume)
         obj["gap_at_nmax"] = None if gap is None else analysis.rational_json(gap)
-        for key in ("slice_count", "brute_count"):
-            if key in extra:
-                obj[key] = str(extra[key])
+        obj.update(zip(keys, map(str, counts)))
         payload.append(obj)
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 

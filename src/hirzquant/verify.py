@@ -5,12 +5,15 @@ with exact arithmetic (zero tolerance unless a check states its own exact
 rational threshold). Two checks are informational: they demonstrate that the
 uncorrected blow-up decomposition and the B_1 = -1/2 density series disagree
 with the exact counts, as expected, and never affect the overall verdict.
+Every check is a parameter grid plus a per-case comparison that returns a
+counterexample string or None, tallied into a CheckResult by `_tally`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 from math import factorial
 
 from . import analysis, counting, sweep
@@ -34,11 +37,12 @@ from .quantization import (
 
 
 class ResourceLimitExceeded(Exception):
-    """Raised when a verification run would exceed its scan budget."""
+    """Raised when a verification run would exceed its scan budget.
 
-    def __init__(self, message: str, partial: "VerifyReport"):
-        super().__init__(message)
-        self.partial = partial
+    `run_verification` attaches the checks finished so far as `partial`.
+    """
+
+    partial: "VerifyReport | None" = None
 
 
 @dataclass
@@ -66,10 +70,11 @@ class CheckResult:
 @dataclass
 class VerifyReport:
     checks: list[CheckResult] = field(default_factory=list)
+    incomplete: bool = False  # set when a resource limit aborted the run
 
     @property
     def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
+        return not self.incomplete and all(c.passed for c in self.checks if not c.informational)
 
     def to_json(self) -> dict:
         return {
@@ -88,22 +93,30 @@ class ScanBudget:
     def charge(self, poly) -> None:
         cells = box_cell_count(poly)
         if cells > self.cell_limit:
-            raise _BudgetHit(
+            raise ResourceLimitExceeded(
                 f"polytope scan of {cells} cells exceeds the cell limit {self.cell_limit}"
             )
 
 
-class _BudgetHit(Exception):
-    pass
+def _tally(name: str, counterexamples, informational: bool = False) -> CheckResult:
+    """One case per item; a non-None item is a failure, and the first one is kept."""
+    result = CheckResult(name=name, cases=0, failures=0, informational=informational)
+    for counterexample in counterexamples:
+        result.cases += 1
+        if counterexample is not None:
+            result.failures += 1
+            if result.first_counterexample is None:
+                result.first_counterexample = counterexample
+    return result
 
 
-def _grid(dmax: int, amax: int, bmax: int, nmax: int) -> list[FibrationParams]:
+def _grid(dmax: int, amax: int, bmax: int, nmax: int, nmin: int = 0) -> list[FibrationParams]:
     return [
         FibrationParams(d=d, a=a, b=b, n=n)
         for d in range(1, dmax + 1)
         for a in range(amax + 1)
         for b in range(bmax + 1)
-        for n in range(nmax + 1)
+        for n in range(nmin, nmax + 1)
     ]
 
 
@@ -135,21 +148,20 @@ def check_oracle_grid(
     budget = budget or ScanBudget()
     grid = _grid(dmax, amax, bmax, nmax)
     if len(grid) > budget.max_polytopes:
-        raise _BudgetHit(f"{len(grid)} grid tuples exceed the limit {budget.max_polytopes}")
-    result = CheckResult(name="oracle_grid_equivalence", cases=len(grid), failures=0)
-    for p in grid:
+        raise ResourceLimitExceeded(
+            f"{len(grid)} grid tuples exceed the limit {budget.max_polytopes}"
+        )
+
+    def compare(p: FibrationParams) -> str | None:
         poly = build_hirzebruch_polytope(p)
         budget.charge(poly)
         brute = counting.count_brute_force(poly).value
         sliced = counting.count_slice_sum(p).value
         closed = quantization_dimension(p).dimension
-        if not (brute == sliced == closed):
-            result.failures += 1
-            if result.first_counterexample is None:
-                result.first_counterexample = (
-                    f"{p}: brute={brute} slice={sliced} closed={closed}"
-                )
-    return result
+        agree = brute == sliced == closed
+        return None if agree else f"{p}: brute={brute} slice={sliced} closed={closed}"
+
+    return _tally("oracle_grid_equivalence", map(compare, grid))
 
 
 def check_simplex_closed_form(
@@ -157,53 +169,35 @@ def check_simplex_closed_form(
 ) -> CheckResult:
     """Brute-force simplex counts match C(b+N, N)."""
     budget = budget or ScanBudget()
-    result = CheckResult(name="projective_space_closed_form", cases=0, failures=0)
-    for N in range(1, n_max + 1):
-        for b in range(b_max + 1):
-            params = SimplexParams(N=N, b=b)
-            poly = build_simplex(params)
-            budget.charge(poly)
-            result.cases += 1
-            brute = counting.count_brute_force(poly).value
-            closed = counting.count_simplex_closed_form(params).value
-            if brute != closed:
-                result.failures += 1
-                if result.first_counterexample is None:
-                    result.first_counterexample = f"{params}: brute={brute} closed={closed}"
-    return result
+
+    def compare(params: SimplexParams) -> str | None:
+        poly = build_simplex(params)
+        budget.charge(poly)
+        brute = counting.count_brute_force(poly).value
+        closed = counting.count_simplex_closed_form(params).value
+        return None if brute == closed else f"{params}: brute={brute} closed={closed}"
+
+    grid = (SimplexParams(N=N, b=b) for N in range(1, n_max + 1) for b in range(b_max + 1))
+    return _tally("projective_space_closed_form", map(compare, grid))
 
 
 def check_surface_closed_form(pmax: int = 10) -> CheckResult:
     """d = 1 closed form (a+1+n*b/2)(b+1) against the term-by-term sum."""
-    result = CheckResult(name="surface_closed_form", cases=0, failures=0)
-    for a in range(pmax + 1):
-        for b in range(pmax + 1):
-            for n in range(pmax + 1):
-                result.cases += 1
-                lhs = quantization_dimension(FibrationParams(d=1, a=a, b=b, n=n)).dimension
-                rhs = hirzebruch_surface_closed_form(a, b, n)
-                if lhs != rhs:
-                    result.failures += 1
-                    if result.first_counterexample is None:
-                        result.first_counterexample = f"(a={a},b={b},n={n}): {lhs} != {rhs}"
-    return result
+
+    def compare(p: FibrationParams) -> str | None:
+        lhs = quantization_dimension(p).dimension
+        rhs = hirzebruch_surface_closed_form(p.a, p.b, p.n)
+        return None if lhs == rhs else f"(a={p.a},b={p.b},n={p.n}): {lhs} != {rhs}"
+
+    return _tally("surface_closed_form", map(compare, _grid(1, pmax, pmax, pmax)))
 
 
 def _identity_grid_check(name: str, n: int, fn, dmax: int = 3, abmax: int = 4) -> CheckResult:
-    result = CheckResult(name=name, cases=0, failures=0)
-    for d in range(1, dmax + 1):
-        for a in range(abmax + 1):
-            for b in range(abmax + 1):
-                p = FibrationParams(d=d, a=a, b=b, n=n)
-                result.cases += 1
-                report = fn(p)
-                if report.residual != 0:
-                    result.failures += 1
-                    if result.first_counterexample is None:
-                        result.first_counterexample = (
-                            f"{p}: lhs={report.lhs} rhs={report.rhs} residual={report.residual}"
-                        )
-    return result
+    def compare(p: FibrationParams) -> str | None:
+        r = fn(p)
+        return None if r.residual == 0 else f"{p}: lhs={r.lhs} rhs={r.rhs} residual={r.residual}"
+
+    return _tally(name, map(compare, _grid(dmax, abmax, abmax, n, nmin=n)))
 
 
 def check_untwisted_product(dmax: int = 3, abmax: int = 4) -> CheckResult:
@@ -231,55 +225,37 @@ def check_blowup_decomposition_uncorrected(dmax: int = 3, abmax: int = 4) -> Che
     so zero failures means the documented discrepancy is fully reproduced
     (including the d=1, a=1, b=1 counterexample: lhs 5 against rhs 4).
     """
-    result = CheckResult(
-        name="blowup_decomposition_uncorrected", cases=0, failures=0, informational=True
-    )
-    for d in range(1, dmax + 1):
-        for a in range(abmax + 1):
-            for b in range(abmax + 1):
-                p = FibrationParams(d=d, a=a, b=b, n=1)
-                result.cases += 1
-                report = blowup_decomposition(p, corrected=False)
-                predicted = binomial(a + d, d) - binomial(a + d - 1, d - 1)
-                if report.residual != predicted:
-                    result.failures += 1
-                    if result.first_counterexample is None:
-                        result.first_counterexample = (
-                            f"{p}: residual={report.residual} predicted={predicted}"
-                        )
-    return result
+
+    def compare(p: FibrationParams) -> str | None:
+        residual = blowup_decomposition(p, corrected=False).residual
+        predicted = binomial(p.a + p.d, p.d) - binomial(p.a + p.d - 1, p.d - 1)
+        return None if residual == predicted else f"{p}: residual={residual} predicted={predicted}"
+
+    grid = _grid(dmax, abmax, abmax, 1, nmin=1)
+    return _tally("blowup_decomposition_uncorrected", map(compare, grid), informational=True)
 
 
 def check_recurrence(dmax: int = 4, abmax: int = 3, n0max: int = 3) -> CheckResult:
     """The (d+1)-st difference of Q in the twist vanishes identically."""
-    result = CheckResult(name="recurrence", cases=0, failures=0)
-    for d in range(1, dmax + 1):
-        for a in range(abmax + 1):
-            for b in range(abmax + 1):
-                for n0 in range(n0max + 1):
-                    result.cases += 1
-                    report = analysis.recurrence_residual(d, a, b, n0)
-                    if report.residual != 0:
-                        result.failures += 1
-                        if result.first_counterexample is None:
-                            result.first_counterexample = (
-                                f"(d={d},a={a},b={b},n0={n0}): residual={report.residual}"
-                            )
-    return result
+
+    def compare(p: FibrationParams) -> str | None:
+        residual = analysis.recurrence_residual(p.d, p.a, p.b, p.n).residual
+        if residual != 0:
+            return f"(d={p.d},a={p.a},b={p.b},n0={p.n}): residual={residual}"
+        return None
+
+    return _tally("recurrence", map(compare, _grid(dmax, abmax, abmax, n0max)))
 
 
 def check_volume_integration(dmax: int = 3, amax: int = 3, bmax: int = 3, nmax: int = 3) -> CheckResult:
     """Closed-form volume equals the independent slice-polynomial integral."""
-    result = CheckResult(name="volume_vs_integration", cases=0, failures=0)
-    for p in _grid(dmax, amax, bmax, nmax):
-        result.cases += 1
+
+    def compare(p: FibrationParams) -> str | None:
         closed = analysis.symplectic_volume(p)
         integrated = volume_by_slice_integration(p)
-        if closed != integrated:
-            result.failures += 1
-            if result.first_counterexample is None:
-                result.first_counterexample = f"{p}: closed={closed} integral={integrated}"
-    return result
+        return None if closed == integrated else f"{p}: closed={closed} integral={integrated}"
+
+    return _tally("volume_vs_integration", map(compare, _grid(dmax, amax, bmax, nmax)))
 
 
 def check_ehrhart_dilation(budget: ScanBudget | None = None) -> CheckResult:
@@ -291,13 +267,9 @@ def check_ehrhart_dilation(budget: ScanBudget | None = None) -> CheckResult:
     budget.charge(scaled)
     count = counting.count_brute_force(scaled).value
     volume = analysis.symplectic_volume(p)
-    density = Fraction(count, k ** (p.d + 1))
-    relative_gap = abs(density - volume) / volume
-    result = CheckResult(name="ehrhart_dilation", cases=1, failures=0)
-    if relative_gap >= Fraction(1, 20):
-        result.failures = 1
-        result.first_counterexample = f"relative gap {relative_gap} not below 1/20"
-    return result
+    gap = abs(Fraction(count, k ** (p.d + 1)) - volume) / volume
+    ok = gap < Fraction(1, 20)
+    return _tally("ehrhart_dilation", [None if ok else f"relative gap {gap} not below 1/20"])
 
 
 ASYMPTOTIC_FAMILIES = tuple(
@@ -309,44 +281,38 @@ def check_asymptotic_bplus(n_list: tuple[int, ...] = (10, 100, 1000)) -> CheckRe
     """B_1 = +1/2 series: gaps strictly decrease and end below 1/100."""
     if len(n_list) < 2 or any(n < 1 for n in n_list) or list(n_list) != sorted(set(n_list)):
         raise ValueError(f"n list must be strictly increasing positive twists, got {n_list}")
-    result = CheckResult(name="asymptotic_gap_bplus", cases=0, failures=0)
-    for d, a, b in ASYMPTOTIC_FAMILIES:
-        result.cases += 1
+
+    def compare(d: int, a: int, b: int) -> str | None:
         gaps = [pt.gap for pt in analysis.ratio_convergence(d, a, b, n_list)]
         decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-        small = gaps[-1] < Fraction(1, 100)
-        if not (decreasing and small):
-            result.failures += 1
-            if result.first_counterexample is None:
-                result.first_counterexample = f"(d={d},a={a},b={b}): gaps={gaps}"
-    return result
+        if decreasing and gaps[-1] < Fraction(1, 100):
+            return None
+        return f"(d={d},a={a},b={b}): gaps={gaps}"
+
+    return _tally("asymptotic_gap_bplus", starmap(compare, ASYMPTOTIC_FAMILIES))
 
 
 def check_asymptotic_bminus(n_last: int = 1000) -> CheckResult:
     """Informational: the B_1 = -1/2 series stays more than 1 away at d=1, b=1."""
-    result = CheckResult(name="asymptotic_gap_bminus", cases=0, failures=0, informational=True)
-    for a in (0, 1):
-        result.cases += 1
-        point = analysis.ratio_convergence(1, a, 1, [n_last], BernoulliConvention.B_MINUS)[0]
-        if not point.gap > 1:
-            result.failures += 1
-            if result.first_counterexample is None:
-                result.first_counterexample = f"(d=1,a={a},b=1,n={n_last}): gap={point.gap}"
-    return result
+
+    def compare(a: int) -> str | None:
+        gap = analysis.ratio_convergence(1, a, 1, [n_last], BernoulliConvention.B_MINUS)[0].gap
+        return None if gap > 1 else f"(d=1,a={a},b=1,n={n_last}): gap={gap}"
+
+    return _tally("asymptotic_gap_bminus", map(compare, (0, 1)), informational=True)
 
 
 def check_sweep_determinism() -> CheckResult:
     """Rendering the same sweep twice yields byte-identical output."""
-    result = CheckResult(name="sweep_determinism", cases=0, failures=0)
-    for fmt in ("csv", "json"):
+
+    def compare(fmt: str) -> str | None:
         spec = sweep.SweepSpec(
             d_range=(1, 1), a_range=(0, 2), b_range=(1, 2), n_range=(0, 3), fmt=fmt
         )
-        result.cases += 1
-        if sweep.render_sweep(spec) != sweep.render_sweep(spec):
-            result.failures += 1
-            result.first_counterexample = f"non-identical {fmt} bytes"
-    return result
+        same = sweep.render_sweep(spec) == sweep.render_sweep(spec)
+        return None if same else f"non-identical {fmt} bytes"
+
+    return _tally("sweep_determinism", map(compare, ("csv", "json")))
 
 
 def run_verification(
@@ -357,8 +323,8 @@ def run_verification(
     n_list: tuple[int, ...] = (10, 100, 1000),
     budget: ScanBudget | None = None,
 ) -> VerifyReport:
-    """Run every check; raise ResourceLimitExceeded (with the partial report)
-    when a scan would blow the budget."""
+    """Run every check; raise ResourceLimitExceeded (with the partial report,
+    marked incomplete) when a scan would blow the budget."""
     budget = budget or ScanBudget()
     report = VerifyReport()
     steps = [
@@ -379,6 +345,8 @@ def run_verification(
     for step in steps:
         try:
             report.checks.append(step())
-        except _BudgetHit as hit:
-            raise ResourceLimitExceeded(str(hit), partial=report) from None
+        except ResourceLimitExceeded as exc:
+            report.incomplete = True
+            exc.partial = report
+            raise
     return report

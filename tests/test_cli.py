@@ -170,6 +170,18 @@ def test_verify_resource_limit(capsys):
     code, out, err = run_cli(capsys, "verify", "--cell-limit", "10")
     assert code == 3
     assert "resource limit" in err
+    assert out.splitlines() == ["OVERALL INCOMPLETE"]
+    # An aborted run never reports a pass, even when every finished check passed.
+    for limit in (["--max-polytopes", "3"], ["--cell-limit", "10000"]):
+        code, out, _ = run_cli(capsys, "verify", *limit)
+        assert code == 3
+        assert out.splitlines()[-1] == "OVERALL INCOMPLETE"
+        code, out, _ = run_cli(capsys, "verify", *limit, "--json")
+        assert code == 3
+        blob = json.loads(out)
+        assert blob["overall_pass"] is False
+    assert len(blob["checks"]) == 9
+    assert all(c["failures"] == 0 for c in blob["checks"])
 
 
 def test_sweep_round_trip(tmp_path, capsys):
@@ -200,6 +212,20 @@ def test_sweep_json_schema(tmp_path, capsys):
         {"d": 1, "a": 0, "b": 1, "n": 1},
     ]
     assert all({"dimension", "base_term", "fiber_terms", "volume"} <= set(row) for row in rows)
+
+
+def test_sweep_row_guard(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_ROW_LIMIT", 5)
+    target = tmp_path / "sweep.csv"
+    args = ["sweep", "--d", "1:1", "--a", "0:2", "--b", "1:2", "--n", "0:0", "--out", str(target)]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 3
+    assert "exceeds the limit" in err
+    assert not target.exists()
+    code, out, _ = run_cli(capsys, *args, "--force")
+    assert code == 0
+    assert "wrote 6 rows" in out
+    assert len(target.read_text().splitlines()) == 7
 
 
 def test_sweep_env_var_selects_directory(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import exact_rank, in_convex_hull
 
 from hirzquant.counting import count_brute_force
@@ -244,10 +246,26 @@ def test_json_round_trip():
 def test_from_json_rejects_unbounded():
     with pytest.raises(UnboundedPolytopeError):
         HPolytope.from_json({"dim": 1, "rows": [{"coeffs": [1], "bound": 5}]})
-    loaded = HPolytope.from_json(
-        {"dim": 1, "rows": [{"coeffs": [1], "bound": 5}]}, require_bounded=False
+
+
+@given(
+    st.one_of(
+        st.builds(
+            lambda d, a, b, n: build_hirzebruch_polytope(FibrationParams(d=d, a=a, b=b, n=n)),
+            st.integers(1, 5),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        st.builds(
+            lambda N, b: build_simplex(SimplexParams(N=N, b=b)),
+            st.integers(1, 6),
+            st.integers(0, 10**6),
+        ),
     )
-    assert loaded.rows == (((1,), 5),)
+)
+def test_json_round_trip_property(poly):
+    assert HPolytope.from_json(poly.to_json()) == poly
 
 
 def test_vertex_set_json():

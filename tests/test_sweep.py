@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hirzquant.analysis import ratio_convergence
 from hirzquant.sweep import SweepSpec, render_sweep
 
 BASE = dict(d_range=(1, 1), a_range=(0, 2), b_range=(1, 2), n_range=(0, 3))
@@ -84,3 +87,33 @@ def test_spec_validation():
 def test_closed_method_always_included():
     spec = SweepSpec(**BASE, methods=("slice",))
     assert "closed" in spec.methods
+
+
+def axis_range(floor):
+    """An inclusive range of 1 to 3 values starting at `floor` or above."""
+    return st.tuples(st.integers(floor, floor + 2), st.integers(0, 2)).map(
+        lambda lo_width: (lo_width[0], lo_width[0] + lo_width[1])
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(axis_range(1), axis_range(0), axis_range(0), axis_range(0))
+def test_sweep_rows_property(d_range, a_range, b_range, n_range):
+    spec = SweepSpec(
+        d_range=d_range, a_range=a_range, b_range=b_range, n_range=n_range,
+        methods=("closed", "slice", "brute"), fmt="csv",
+    )
+    lines = render_sweep(spec).decode().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) - 1 == len(spec) == len(list(spec.tuples()))
+    n_max = n_range[1]
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert row["dimension"] == row["slice_count"] == row["brute_count"]
+        d, a, b = int(row["d"]), int(row["a"]), int(row["b"])
+        gap_cells = (row["gap_at_nmax_num"], row["gap_at_nmax_den"])
+        if b == 0 or n_max == 0:
+            assert gap_cells == ("", "")
+        else:
+            gap = ratio_convergence(d, a, b, [n_max])[0].gap
+            assert gap_cells == (str(gap.numerator), str(gap.denominator))

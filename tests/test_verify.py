@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from hirzquant import verify
+from hirzquant.polytope import FibrationParams
 
 
 def test_default_run_passes():
@@ -59,12 +62,37 @@ def test_budget_exhaustion_raises_with_partial_report():
         verify.run_verification(budget=tight)
     assert isinstance(excinfo.value.partial, verify.VerifyReport)
     assert len(excinfo.value.partial.checks) == 0  # first scan already too large
+    assert excinfo.value.partial.incomplete
+    assert not excinfo.value.partial.overall_pass
 
 
 def test_budget_polytope_cap():
     tiny = verify.ScanBudget(max_polytopes=3)
     with pytest.raises(verify.ResourceLimitExceeded):
         verify.run_verification(budget=tiny)
+
+
+def test_oracle_grid_reports_a_failing_tuple(monkeypatch):
+    bad = FibrationParams(d=2, a=1, b=3, n=2)
+    real = verify.quantization_dimension
+
+    def off_by_one(p):
+        record = real(p)
+        return dataclasses.replace(record, dimension=record.dimension + 1) if p == bad else record
+
+    monkeypatch.setattr(verify, "quantization_dimension", off_by_one)
+    check = verify.check_oracle_grid()
+    assert check.cases == 3 * 4 * 4 * 4
+    assert check.failures == 1
+    assert not check.passed
+    assert check.first_counterexample.startswith(f"{bad}: ")
+    closed = real(bad).dimension
+    assert check.first_counterexample.endswith(f"slice={closed} closed={closed + 1}")
+
+
+def test_tally_keeps_the_first_counterexample():
+    check = verify._tally("demo", [None, "first", None, "second"])
+    assert (check.cases, check.failures, check.first_counterexample) == (4, 2, "first")
 
 
 def test_oracle_check_with_larger_dimension():
