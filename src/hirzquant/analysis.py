@@ -23,7 +23,6 @@ Everything is exact: counts are integers, volumes and series are Fractions.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -135,7 +134,6 @@ def symplectic_volume(p: FibrationParams) -> Fraction:
 
 
 _BERNOULLI_MINUS: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(k: int, convention: BernoulliConvention = BernoulliConvention.B_PLUS) -> Fraction:
@@ -146,12 +144,10 @@ def bernoulli(k: int, convention: BernoulliConvention = BernoulliConvention.B_PL
     """
     if k < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {k}")
-    if k >= len(_BERNOULLI_MINUS):
-        with _BERNOULLI_LOCK:
-            while len(_BERNOULLI_MINUS) <= k:
-                m = len(_BERNOULLI_MINUS)
-                acc = sum(binomial(m + 1, j) * _BERNOULLI_MINUS[j] for j in range(m))
-                _BERNOULLI_MINUS.append(Fraction(-acc, m + 1))
+    while len(_BERNOULLI_MINUS) <= k:
+        m = len(_BERNOULLI_MINUS)
+        acc = sum(binomial(m + 1, j) * _BERNOULLI_MINUS[j] for j in range(m))
+        _BERNOULLI_MINUS.append(Fraction(-acc, m + 1))
     value = _BERNOULLI_MINUS[k]
     if k == 1 and convention is BernoulliConvention.B_PLUS:
         return -value

@@ -27,6 +27,8 @@ from .quantization import quantization_dimension
 BRUTE_CELL_LIMIT = 10**8
 # Refuse sweeps of more than this many rows unless --force is given.
 SWEEP_ROW_LIMIT = 10**6
+# Refuse to list more than this many terms C(a+d+n*i, d) unless --force is given.
+TERM_LIMIT = 10**7
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -63,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed",
         help="counting route; 'all' cross-checks the three routes",
     )
-    quantize.add_argument("--force", action="store_true", help="allow scans above the cell limit")
+    quantize.add_argument(
+        "--force", action="store_true", help="allow scans and term lists above their limits"
+    )
     quantize.set_defaults(handler=cmd_quantize)
 
     polytope = sub.add_parser("polytope", help="emit polytope data")
@@ -118,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--force",
         action="store_true",
-        help="allow sweeps above the row limit and scans above the cell limit",
+        help="allow sweeps, scans and term lists above their limits",
     )
     sweep_cmd.set_defaults(handler=cmd_sweep)
 
@@ -196,6 +200,11 @@ def _guard_cells(poly: HPolytope, force: bool) -> int | None:
 
 def cmd_quantize(args, parser) -> int:
     p = _params(args, parser)
+    if args.method in ("closed", "slice"):
+        # The closed route prints every fiber term; the slice route sums them.
+        blocked = _guard(f"list of {p.b + 1} terms", p.b + 1, TERM_LIMIT, args.force)
+        if blocked is not None:
+            return blocked
     if args.method == "closed":
         _print_json(quantization_dimension(p).to_json())
         return EXIT_OK
@@ -259,9 +268,11 @@ def cmd_volume(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     n_list = _parse_n_list(args.n_list, parser)
-    for flag in ("dmax", "amax", "bmax", "nmax"):
+    if len(n_list) < 2:
+        parser.error(f"the asymptotic check needs at least two twists, got {args.n_list!r}")
+    for flag in ("dmax", "amax", "bmax", "nmax", "cell_limit", "max_polytopes"):
         if getattr(args, flag) < (1 if flag == "dmax" else 0):
-            parser.error(f"--{flag} out of range")
+            parser.error(f"--{flag.replace('_', '-')} out of range")
     budget = verify.ScanBudget(cell_limit=args.cell_limit, max_polytopes=args.max_polytopes)
     try:
         report = verify.run_verification(
@@ -316,6 +327,12 @@ def cmd_sweep(args, parser) -> int:
     blocked = _guard(f"sweep of {len(spec)} rows", len(spec), SWEEP_ROW_LIMIT, args.force)
     if blocked is not None:
         return blocked
+    if "slice" in spec.methods or spec.fmt == "json":
+        # Each row sums (slice) or prints (json fiber_terms) up to b_hi + 1 terms.
+        terms = len(spec) * (spec.b_range[1] + 1)
+        blocked = _guard(f"sweep listing {terms} terms", terms, TERM_LIMIT, args.force)
+        if blocked is not None:
+            return blocked
     if "brute" in spec.methods:
         for p in spec.tuples():
             blocked = _guard_cells(build_hirzebruch_polytope(p), args.force)

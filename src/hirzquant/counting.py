@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .combinat import binomial
 from .polytope import FibrationParams, HPolytope, LatticePoint, SimplexParams, bounding_box, contains
+from .quantization import slice_terms
 
 
 class CountMethod(Enum):
@@ -78,7 +79,7 @@ def count_simplex_closed_form(p: SimplexParams) -> CountResult:
 
 def count_slice_sum(p: FibrationParams) -> CountResult:
     """Sum of per-height simplex counts: sum_t C(a + n*(b-t) + d, d) for t = 0..b."""
-    total = sum(binomial(p.a + p.n * (p.b - t) + p.d, p.d) for t in range(p.b + 1))
+    total = sum(slice_terms(p))
     return CountResult(value=total, method=CountMethod.SLICE_SUM)
 
 

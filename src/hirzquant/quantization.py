@@ -5,8 +5,11 @@ For parameters (d, a, b, n) the dimension is the lattice count
     Q(d, a, b, n) = sum_{i=0}^{b} C(a + d + n*i, d),
 
 whose i = 0 term is the base contribution C(a+d, d) (the quantization of CP^d
-at scale a) and whose i >= 1 terms come from the fibers. Special twists admit
-shorter forms:
+at scale a) and whose i >= 1 terms come from the fibers. `slice_terms` is the
+one place that lists these b + 1 terms. `quantization_dimension` does not sum
+them: the terms are a degree-d polynomial in i, so Q is a degree-(d+1)
+polynomial in b, and Newton's forward-difference series gives it exactly in
+O(d^2) integer steps at any b. Special twists admit shorter forms:
 
 * d = 1 (ordinary ruled surfaces):  (a + 1 + n*b/2) * (b + 1);
 * n = 0 (trivial bundle, a product): C(a+d, d) * (b + 1);
@@ -39,12 +42,21 @@ class IdentityName(Enum):
 
 @dataclass(frozen=True)
 class QuantizationRecord:
-    """Exact dimension with its base/fiber breakdown."""
+    """Exact dimension with its base/fiber breakdown.
+
+    The breakdown is listed from `params` on each access, in O(b) steps.
+    """
 
     params: FibrationParams
     dimension: int
-    base_term: int
-    fiber_terms: tuple[int, ...]
+
+    @property
+    def base_term(self) -> int:
+        return slice_terms(self.params, 1)[0]
+
+    @property
+    def fiber_terms(self) -> tuple[int, ...]:
+        return tuple(slice_terms(self.params)[1:])
 
     def to_json(self) -> dict:
         return {
@@ -81,15 +93,33 @@ class IdentityReport:
         }
 
 
+def slice_terms(p: FibrationParams, count: int | None = None) -> list[int]:
+    """The terms C(a + d + n*i, d) of Q for i = 0..count-1 (default: all b + 1).
+
+    Term i counts the lattice points of the polytope's slice at height b - i,
+    a CP^d simplex at scale a + n*i.
+    """
+    count = p.b + 1 if count is None else count
+    return [binomial(p.a + p.d + p.n * i, p.d) for i in range(count)]
+
+
 def quantization_dimension(p: FibrationParams) -> QuantizationRecord:
-    """Evaluate Q(d, a, b, n) = sum_{i=0}^{b} C(a + d + n*i, d) term by term."""
-    terms = [binomial(p.a + p.d + p.n * i, p.d) for i in range(p.b + 1)]
-    return QuantizationRecord(
-        params=p,
-        dimension=sum(terms),
-        base_term=terms[0],
-        fiber_terms=tuple(terms[1:]),
-    )
+    """Q(d, a, b, n) by Newton's forward-difference series in b.
+
+    With f(i) = C(a + d + n*i, d), a polynomial of degree d in i,
+    Q = sum_{k=0}^{d} (Delta^k f)(0) * C(b+1, k+1), since the hockey stick gives
+    sum_{i=0}^{b} C(i, k) = C(b+1, k+1). That binomial vanishes for k > b, so
+    only k <= min(d, b) contributes, and those differences need f(0..min(d, b)).
+    """
+    m = min(p.d, p.b)
+    diffs = slice_terms(p, m + 1)
+    dimension = 0
+    for k in range(m + 1):
+        # diffs[0] is (Delta^k f)(0); difference the rest in place for k + 1.
+        dimension += diffs[0] * binomial(p.b + 1, k + 1)
+        for j in range(m - k):
+            diffs[j] = diffs[j + 1] - diffs[j]
+    return QuantizationRecord(params=p, dimension=dimension)
 
 
 def hirzebruch_surface_closed_form(a: int, b: int, n: int) -> int:

@@ -144,7 +144,7 @@ def check_oracle_grid(
     nmax: int = 3,
     budget: ScanBudget | None = None,
 ) -> CheckResult:
-    """Brute-force count == slice-sum count == term-by-term dimension."""
+    """Brute-force count == slice-sum count == Newton closed-form dimension."""
     budget = budget or ScanBudget()
     grid = _grid(dmax, amax, bmax, nmax)
     if len(grid) > budget.max_polytopes:
@@ -182,7 +182,7 @@ def check_simplex_closed_form(
 
 
 def check_surface_closed_form(pmax: int = 10) -> CheckResult:
-    """d = 1 closed form (a+1+n*b/2)(b+1) against the term-by-term sum."""
+    """d = 1 closed form (a+1+n*b/2)(b+1) against the Newton closed form."""
 
     def compare(p: FibrationParams) -> str | None:
         lhs = quantization_dimension(p).dimension

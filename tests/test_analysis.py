@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hirzquant.analysis import (
     BernoulliConvention,
@@ -55,6 +57,11 @@ def test_recurrence_full_grid():
                     report = recurrence_residual(d, a, b, n0)
                     assert report.residual == 0, (d, a, b, n0)
                     assert len(report.q_values) == d + 2
+
+
+@given(st.integers(1, 6), st.integers(0, 50), st.integers(0, 10**12), st.integers(0, 50))
+def test_recurrence_residual_zero_property(d, a, b, n0):
+    assert recurrence_residual(d, a, b, n0).residual == 0
 
 
 def test_iterated_difference_annihilates():

@@ -85,6 +85,21 @@ def test_quantize_cell_guard(capsys, monkeypatch):
     assert json.loads(out)["value"] == "9"
 
 
+def test_quantize_term_guard(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "TERM_LIMIT", 2)
+    params = ["--d", "1", "--a", "1", "--b", "2", "--n", "1"]
+    for method in ("closed", "slice"):
+        code, out, err = run_cli(capsys, "quantize", *params, "--method", method)
+        assert code == 3
+        assert out == ""
+        assert "list of 3 terms exceeds the limit 2" in err
+        code, out, _ = run_cli(capsys, "quantize", *params, "--method", method, "--force")
+        assert code == 0
+        assert json.loads(out)["dimension" if method == "closed" else "value"] == "9"
+    code, out, _ = run_cli(capsys, "quantize", *params, "--method", "brute")
+    assert code == 0
+
+
 def test_polytope_vertices(capsys):
     code, out, _ = run_cli(
         capsys, "polytope", "--d", "1", "--a", "1", "--b", "1", "--n", "1", "--vertices"
@@ -166,6 +181,21 @@ def test_verify_malformed_n_list():
     assert excinfo.value.code == 2
 
 
+def test_verify_single_twist_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--n-list", "10"])
+    assert excinfo.value.code == 2
+    assert "at least two twists" in capsys.readouterr().err
+
+
+def test_verify_negative_limits_usage_error(capsys):
+    for flag in ("--cell-limit", "--max-polytopes"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", flag, "-1"])
+        assert excinfo.value.code == 2
+        assert f"{flag} out of range" in capsys.readouterr().err
+
+
 def test_verify_resource_limit(capsys):
     code, out, err = run_cli(capsys, "verify", "--cell-limit", "10")
     assert code == 3
@@ -226,6 +256,25 @@ def test_sweep_row_guard(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "wrote 6 rows" in out
     assert len(target.read_text().splitlines()) == 7
+
+
+def test_sweep_term_guard(tmp_path, capsys, monkeypatch):
+    # 6 rows with b up to 2: 6 * 3 = 18 terms when a row sums or prints them.
+    monkeypatch.setattr(cli, "TERM_LIMIT", 17)
+    target = tmp_path / "sweep.out"
+    ranges = ["--d", "1:1", "--a", "0:2", "--b", "1:2", "--n", "0:0", "--out", str(target)]
+    for extra in (["--methods", "closed,slice"], ["--format", "json"]):
+        code, _, err = run_cli(capsys, "sweep", *ranges, *extra)
+        assert code == 3
+        assert "sweep listing 18 terms exceeds the limit 17" in err
+        assert not target.exists()
+        code, out, _ = run_cli(capsys, "sweep", *ranges, *extra, "--force")
+        assert code == 0
+        assert "wrote 6 rows" in out
+        target.unlink()
+    code, out, _ = run_cli(capsys, "sweep", *ranges)
+    assert code == 0
+    assert "wrote 6 rows" in out
 
 
 def test_sweep_env_var_selects_directory(tmp_path, capsys, monkeypatch):

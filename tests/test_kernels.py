@@ -43,7 +43,7 @@ def boxed_rows(draw):
     return coeffs, bounds, lower, upper
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(boxed_rows())
 def test_kernel_matches_oracle_property(case):
     assert counting.count_box(*case) == oracles.count_box(*case)

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from math import comb, prod
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from hirzquant.combinat import binomial
 from hirzquant.counting import count_brute_force, count_simplex_closed_form, count_slice_sum
 from hirzquant.polytope import FibrationParams, SimplexParams, build_hirzebruch_polytope
@@ -45,6 +50,38 @@ def test_dimension_equals_slice_sum_and_brute():
                         record.dimension
                         == count_brute_force(build_hirzebruch_polytope(p)).value
                     )
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 60), st.integers(0, 6))
+def test_closed_form_equals_term_sum_property(d, a, b, n):
+    p = FibrationParams(d=d, a=a, b=b, n=n)
+    record = quantization_dimension(p)
+    assert record.dimension == count_slice_sum(p).value
+    assert record.dimension == record.base_term + sum(record.fiber_terms)
+    assert len(record.fiber_terms) == b
+    # On small boxes, also against the odometer: the box is x_i in
+    # [0, a + n*b] for i <= d and x_{d+1} in [0, b], read off the rows.
+    upper = [a + n * b] * d + [b]
+    if prod(u + 1 for u in upper) <= 5000:
+        poly = build_hirzebruch_polytope(p)
+        coeffs, bounds = zip(*poly.rows)
+        assert record.dimension == oracles.count_box(coeffs, bounds, [0] * (d + 1), upper)[0]
+
+
+def test_closed_form_at_astronomical_b():
+    # No O(b) route finishes at this b; the special-twist closed forms do.
+    b = 10**100
+    for d in range(1, 6):
+        for a in range(4):
+            blowup = quantization_dimension(FibrationParams(d=d, a=a, b=b, n=1)).dimension
+            assert blowup == comb(a + b + d + 1, d + 1) - comb(a + d, d + 1)
+            product = quantization_dimension(FibrationParams(d=d, a=a, b=b, n=0)).dimension
+            assert product == comb(a + d, d) * (b + 1)
+    for a in range(4):
+        for n in range(5):
+            surface = quantization_dimension(FibrationParams(d=1, a=a, b=b, n=n)).dimension
+            assert surface == hirzebruch_surface_closed_form(a, b, n)
 
 
 def test_decomposition_structure():

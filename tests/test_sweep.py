@@ -96,7 +96,7 @@ def axis_range(floor):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(axis_range(1), axis_range(0), axis_range(0), axis_range(0))
 def test_sweep_rows_property(d_range, a_range, b_range, n_range):
     spec = SweepSpec(
