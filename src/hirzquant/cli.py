@@ -44,7 +44,11 @@ def run() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    try:
+        return args.handler(args, parser)
+    except verify.ResourceLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,26 +189,37 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _guard(what: str, size: int, limit: int, force: bool) -> int | None:
+def _print_points(points) -> None:
+    """Write json.dumps(list(points), indent=2) and a newline, one point at a time.
+
+    Each point is a tuple of ints, so it is spelled here as the nested list
+    json.dumps would write, and no more than one point is held at once.
+    """
+    opening = "[\n"
+    for point in points:
+        sys.stdout.write(opening + "  [\n    " + ",\n    ".join(map(str, point)) + "\n  ]")
+        opening = ",\n"
+    sys.stdout.write("[]\n" if opening == "[\n" else "\n]\n")
+
+
+def _guard(what: str, size: int, limit: int, force: bool) -> None:
+    """Refuse work of `size` above `limit` unless --force; `main` maps the refusal to exit 3."""
     if size > limit and not force:
-        message = f"error: {what} exceeds the limit {limit}; re-run with --force to override"
-        print(message, file=sys.stderr)
-        return EXIT_RESOURCE
-    return None
+        raise verify.ResourceLimitExceeded(
+            f"{what} exceeds the limit {limit}; re-run with --force to override"
+        )
 
 
-def _guard_cells(poly: HPolytope, force: bool) -> int | None:
+def _guard_cells(poly: HPolytope, force: bool) -> None:
     cells = box_cell_count(poly)
-    return _guard(f"scan of {cells} cells", cells, BRUTE_CELL_LIMIT, force)
+    _guard(f"scan of {cells} cells", cells, BRUTE_CELL_LIMIT, force)
 
 
 def cmd_quantize(args, parser) -> int:
     p = _params(args, parser)
     if args.method in ("closed", "slice"):
         # The closed route prints every fiber term; the slice route sums them.
-        blocked = _guard(f"list of {p.b + 1} terms", p.b + 1, TERM_LIMIT, args.force)
-        if blocked is not None:
-            return blocked
+        _guard(f"list of {p.b + 1} terms", p.b + 1, TERM_LIMIT, args.force)
     if args.method == "closed":
         _print_json(quantization_dimension(p).to_json())
         return EXIT_OK
@@ -213,9 +228,7 @@ def cmd_quantize(args, parser) -> int:
         return EXIT_OK
 
     poly = build_hirzebruch_polytope(p)
-    blocked = _guard_cells(poly, args.force)
-    if blocked is not None:
-        return blocked
+    _guard_cells(poly, args.force)
     if args.method == "brute":
         _print_json(counting.count_brute_force(poly).to_json())
         return EXIT_OK
@@ -253,10 +266,8 @@ def cmd_polytope(args, parser) -> int:
     if args.inequalities:
         _print_json(poly.to_json())
         return EXIT_OK
-    blocked = _guard_cells(poly, args.force)
-    if blocked is not None:
-        return blocked
-    _print_json(counting.monomial_basis(poly).to_json())
+    _guard_cells(poly, args.force)
+    _print_points(counting.lattice_points(poly))
     return EXIT_OK
 
 
@@ -324,20 +335,14 @@ def cmd_sweep(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    blocked = _guard(f"sweep of {len(spec)} rows", len(spec), SWEEP_ROW_LIMIT, args.force)
-    if blocked is not None:
-        return blocked
+    _guard(f"sweep of {len(spec)} rows", len(spec), SWEEP_ROW_LIMIT, args.force)
     if "slice" in spec.methods or spec.fmt == "json":
         # Each row sums (slice) or prints (json fiber_terms) up to b_hi + 1 terms.
         terms = len(spec) * (spec.b_range[1] + 1)
-        blocked = _guard(f"sweep listing {terms} terms", terms, TERM_LIMIT, args.force)
-        if blocked is not None:
-            return blocked
+        _guard(f"sweep listing {terms} terms", terms, TERM_LIMIT, args.force)
     if "brute" in spec.methods:
         for p in spec.tuples():
-            blocked = _guard_cells(build_hirzebruch_polytope(p), args.force)
-            if blocked is not None:
-                return blocked
+            _guard_cells(build_hirzebruch_polytope(p), args.force)
 
     out_path = args.out
     if out_path is None:

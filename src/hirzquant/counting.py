@@ -6,7 +6,10 @@ rows (Ancourt & Irigoin, "Scanning polyhedra with DO loops", PPoPP 1991):
 each outer axis runs only over the values every row still allows once the
 outer coordinates are fixed and the inner terms take their box minimum, and
 the innermost axis is counted in one step as the length of the interval all
-rows leave open. Arithmetic is exact at any size.
+rows leave open. The monomial basis walks the same loop nest, yielding each
+point of that interval instead of counting it, so the work of listing the
+basis follows the number of points, not of box cells. Arithmetic is exact at
+any size.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinat import binomial
-from .polytope import FibrationParams, HPolytope, LatticePoint, SimplexParams, bounding_box, contains
+from .polytope import FibrationParams, HPolytope, LatticePoint, SimplexParams, bounding_box
 from .quantization import slice_terms
 
 
@@ -58,7 +61,7 @@ class MonomialBasis:
 
 def count_brute_force(poly: HPolytope) -> CountResult:
     """Exact point count by scanning the polytope inside its bounding box."""
-    total, _ = _boxed_count(poly)
+    total, _ = count_box(*_box_system(poly))
     return CountResult(value=total, method=CountMethod.BRUTE_FORCE)
 
 
@@ -68,7 +71,7 @@ def brute_force_slice_counts(poly: HPolytope) -> tuple[int, ...]:
     Entry i counts the points whose last coordinate is box_lower[-1] + i; for
     the twisted-bundle family this is exactly the foliation profile.
     """
-    _, profile = _boxed_count(poly)
+    _, profile = count_box(*_box_system(poly))
     return tuple(profile)
 
 
@@ -85,17 +88,24 @@ def count_slice_sum(p: FibrationParams) -> CountResult:
 
 def monomial_basis(poly: HPolytope) -> MonomialBasis:
     """All lattice points of the polytope as exponent tuples, in lex order."""
-    lo, hi = bounding_box(poly)
-    axes = [range(l, h + 1) for l, h in zip(lo, hi)]
-    points = tuple(pt for pt in itertools.product(*axes) if contains(poly, pt))
-    return MonomialBasis(exponents=points)
+    return MonomialBasis(exponents=tuple(lattice_points(poly)))
 
 
-def _boxed_count(poly: HPolytope) -> tuple[int, list[int]]:
+def lattice_points(poly: HPolytope) -> Iterator[LatticePoint]:
+    """The polytope's lattice points in lex order, one at a time.
+
+    The bounding box is derived at the call, so an unbounded polytope raises
+    UnboundedPolytopeError here rather than at the first point.
+    """
+    return walk_box(*_box_system(poly))
+
+
+def _box_system(poly: HPolytope) -> tuple[list, list, LatticePoint, LatticePoint]:
+    """The polytope as the (coeffs, bounds, lower, upper) that both scans take."""
     lo, hi = bounding_box(poly)
     coeffs = [row for row, _ in poly.rows]
     bounds = [bound for _, bound in poly.rows]
-    return count_box(coeffs, bounds, lo, hi)
+    return coeffs, bounds, lo, hi
 
 
 def count_box(
@@ -117,6 +127,75 @@ def count_box(
     if any(lo > hi for lo, hi in zip(lower, upper)):
         return 0, profile
 
+    top, step, interval = _loop_nest(coeffs, bounds, lower, upper)
+
+    def count(j: int, slack: list[int]) -> int:
+        # Points on axes 0..j, given each live row's bound minus its outer terms.
+        lo, hi = interval(j, slack)
+        if j == 0:
+            return max(0, hi - lo + 1)
+        col = step[j]
+        inner = ([s - c * x for s, c in zip(slack, col)] for x in range(lo, hi + 1))
+        if j == 1:  # count(0, ...) inlined: this is the hottest loop
+            return sum(max(0, b - a + 1) for a, b in map(interval, itertools.repeat(0), inner))
+        return sum(count(j - 1, s) for s in inner)
+
+    lo, hi = interval(dim - 1, top)
+    for x in range(lo, hi + 1):
+        if dim == 1:  # axis 0 is the last axis, and its interval is exact
+            profile[x - last_lo] = 1
+        else:
+            profile[x - last_lo] = count(dim - 2, [s - c * x for s, c in zip(top, step[-1])])
+    return sum(profile), profile
+
+
+def walk_box(
+    coeffs: Sequence[Sequence[int]],
+    bounds: Sequence[int],
+    lower: Sequence[int],
+    upper: Sequence[int],
+) -> Iterator[LatticePoint]:
+    """Yield the integer points of {x : coeffs . x <= bounds rowwise} in the box.
+
+    The points come in lex order: this is count_box's loop nest run on the
+    axis-reversed system, so axis 0 is the outermost loop, and each point is
+    built by appending the coordinate each loop fixes.
+    """
+    if any(lo > hi for lo, hi in zip(lower, upper)):
+        return
+    top, step, interval = _loop_nest(
+        [row[::-1] for row in coeffs], bounds, lower[::-1], upper[::-1]
+    )
+
+    def walk(j: int, slack: list[int], prefix: LatticePoint) -> Iterator[LatticePoint]:
+        lo, hi = interval(j, slack)
+        if j == 0:
+            for x in range(lo, hi + 1):
+                yield prefix + (x,)
+            return
+        col = step[j]
+        for x in range(lo, hi + 1):
+            yield from walk(j - 1, [s - c * x for s, c in zip(slack, col)], prefix + (x,))
+
+    yield from walk(len(lower) - 1, top, ())
+
+
+def _loop_nest(
+    coeffs: Sequence[Sequence[int]],
+    bounds: Sequence[int],
+    lower: Sequence[int],
+    upper: Sequence[int],
+):
+    """Fix the loop nest's bounds for a box with no empty axis.
+
+    Axis dim - 1 is the outermost loop and axis 0 the innermost. Returns
+    (top, step, interval): top is the slack of the outermost loop, every
+    row's bound in the sorted row order; fixing x on axis j turns that axis's
+    slack into [s - c * x for s, c in zip(slack, step[j])], the slack of
+    axis j - 1; and interval(j, slack) is the (lo, hi) range of axis j that
+    every live row allows, empty when lo > hi.
+    """
+    dim = len(lower)
     # Sort the rows by their lowest nonzero axis. The rows with a nonzero
     # coefficient below axis j then form a prefix, and only that prefix is
     # carried into the loops inside axis j: axis j's own interval settles the
@@ -148,22 +227,4 @@ def count_box(
                 return 1, 0
         return lo, hi
 
-    def count(j: int, slack: list[int]) -> int:
-        # Points on axes 0..j, given each live row's bound minus its outer terms.
-        lo, hi = interval(j, slack)
-        if j == 0:
-            return max(0, hi - lo + 1)
-        col = step[j]
-        inner = ([s - c * x for s, c in zip(slack, col)] for x in range(lo, hi + 1))
-        if j == 1:  # count(0, ...) inlined: this is the hottest loop
-            return sum(max(0, b - a + 1) for a, b in map(interval, itertools.repeat(0), inner))
-        return sum(count(j - 1, s) for s in inner)
-
-    top = [bound for _, _, bound in rows]
-    lo, hi = interval(dim - 1, top)
-    for x in range(lo, hi + 1):
-        if dim == 1:  # axis 0 is the last axis, and its interval is exact
-            profile[x - last_lo] = 1
-        else:
-            profile[x - last_lo] = count(dim - 2, [s - c * x for s, c in zip(top, step[-1])])
-    return sum(profile), profile
+    return [bound for _, _, bound in rows], step, interval

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import starmap
-from math import factorial
+from math import factorial, prod
 
 from . import analysis, counting, sweep
 from .analysis import BernoulliConvention
@@ -146,10 +146,13 @@ def check_oracle_grid(
 ) -> CheckResult:
     """Brute-force count == slice-sum count == Newton closed-form dimension."""
     budget = budget or ScanBudget()
-    grid = _grid(dmax, amax, bmax, nmax)
-    if len(grid) > budget.max_polytopes:
+    # The size of _grid(dmax, amax, bmax, nmax), taken before it is built, so
+    # an oversized grid is refused without its cost in time or memory.
+    axes = (range(1, dmax + 1), range(amax + 1), range(bmax + 1), range(nmax + 1))
+    size = prod(map(len, axes))
+    if size > budget.max_polytopes:
         raise ResourceLimitExceeded(
-            f"{len(grid)} grid tuples exceed the limit {budget.max_polytopes}"
+            f"{size} grid tuples exceed the limit {budget.max_polytopes}"
         )
 
     def compare(p: FibrationParams) -> str | None:
@@ -161,7 +164,7 @@ def check_oracle_grid(
         agree = brute == sliced == closed
         return None if agree else f"{p}: brute={brute} slice={sliced} closed={closed}"
 
-    return _tally("oracle_grid_equivalence", map(compare, grid))
+    return _tally("oracle_grid_equivalence", map(compare, _grid(dmax, amax, bmax, nmax)))
 
 
 def check_simplex_closed_form(

@@ -1,8 +1,8 @@
 """Independent exact-arithmetic oracles used only by the tests.
 
 Deliberately brute force: rational Gaussian elimination, Caratheodory-style
-subset enumeration and a box odometer, sharing no code with the package under
-test.
+subset enumeration, a box odometer and a box-product point enumerator,
+sharing no code with the package under test.
 """
 
 from __future__ import annotations
@@ -120,3 +120,24 @@ def count_box(
                 hits += 1
         profile.append(hits)
     return sum(profile), profile
+
+
+def box_points(
+    coeffs: Sequence[Sequence[int]],
+    bounds: Sequence[int],
+    lower: Sequence[int],
+    upper: Sequence[int],
+) -> list[tuple[int, ...]]:
+    """Integer points of {x : coeffs . x <= bounds rowwise} in the box, in lex order.
+
+    Every cell of the box product is visited and checked against every row.
+    """
+    axes = [range(lo, hi + 1) for lo, hi in zip(lower, upper)]
+    points = []
+    for point in itertools.product(*axes):
+        if all(
+            sum(c * v for c, v in zip(row, point)) <= bound
+            for row, bound in zip(coeffs, bounds)
+        ):
+            points.append(point)
+    return points

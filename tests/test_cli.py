@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from hirzquant import analysis, cli, counting
+import oracles
+from hirzquant import analysis, cli, counting, verify
 from hirzquant.counting import CountMethod, CountResult
 from hirzquant.polytope import FibrationParams, build_hirzebruch_polytope, vertices
 from hirzquant.quantization import quantization_dimension
@@ -136,6 +137,36 @@ def test_polytope_basis_segment(capsys):
     assert json.loads(out) == [[0, 0], [0, 1], [0, 2]]
 
 
+@pytest.mark.parametrize(
+    "d,a,b,n", [(1, 0, 2, 0), (1, 1, 1, 1), (2, 1, 3, 2), (2, 0, 0, 0), (3, 2, 2, 1), (1, 3, 0, 4)]
+)
+def test_polytope_basis_matches_referee(capsys, d, a, b, n):
+    rows = build_hirzebruch_polytope(FibrationParams(d, a, b, n)).rows
+    # The base coordinates lie in [0, a + n*b] and the fiber one in [0, b].
+    upper = [a + n * b] * d + [b]
+    points = oracles.box_points(
+        [row for row, _ in rows], [bound for _, bound in rows], [0] * (d + 1), upper
+    )
+    code, out, err = run_cli(
+        capsys, "polytope", "--d", str(d), "--a", str(a), "--b", str(b), "--n", str(n), "--basis"
+    )
+    assert code == 0
+    assert err == ""
+    assert out == json.dumps(points, indent=2) + "\n"
+
+
+def test_polytope_basis_cell_guard(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BRUTE_CELL_LIMIT", 5)
+    params = ["--d", "1", "--a", "1", "--b", "2", "--n", "1"]
+    code, out, err = run_cli(capsys, "polytope", *params, "--basis")
+    assert code == 3
+    assert out == ""
+    assert err == "error: scan of 12 cells exceeds the limit 5; re-run with --force to override\n"
+    code, out, _ = run_cli(capsys, "polytope", *params, "--basis", "--force")
+    assert code == 0
+    assert len(json.loads(out)) == 9
+
+
 def test_polytope_requires_exactly_one_view():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["polytope", "--d", "1", "--a", "1", "--b", "1", "--n", "1"])
@@ -214,6 +245,17 @@ def test_verify_resource_limit(capsys):
     assert all(c["failures"] == 0 for c in blob["checks"])
 
 
+def test_verify_grid_cap_precedes_the_grid(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the oversized grid was built")
+
+    monkeypatch.setattr(verify, "_grid", no_grid)
+    code, out, err = run_cli(capsys, "verify", "--max-polytopes", "3")
+    assert code == 3
+    assert out.splitlines() == ["OVERALL INCOMPLETE"]
+    assert "192 grid tuples exceed the limit 3" in err
+
+
 def test_sweep_round_trip(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     args = [
@@ -253,6 +295,21 @@ def test_sweep_row_guard(tmp_path, capsys, monkeypatch):
     assert "exceeds the limit" in err
     assert not target.exists()
     code, out, _ = run_cli(capsys, *args, "--force")
+    assert code == 0
+    assert "wrote 6 rows" in out
+    assert len(target.read_text().splitlines()) == 7
+
+
+def test_sweep_brute_cell_guard(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BRUTE_CELL_LIMIT", 5)
+    target = tmp_path / "sweep.csv"
+    args = ["sweep", "--d", "1:1", "--a", "0:2", "--b", "1:2", "--n", "0:0", "--out", str(target)]
+    code, out, err = run_cli(capsys, *args, "--methods", "closed,brute")
+    assert code == 3
+    assert out == ""
+    assert err == "error: scan of 6 cells exceeds the limit 5; re-run with --force to override\n"
+    assert not target.exists()
+    code, out, _ = run_cli(capsys, *args, "--methods", "closed,brute", "--force")
     assert code == 0
     assert "wrote 6 rows" in out
     assert len(target.read_text().splitlines()) == 7

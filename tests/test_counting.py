@@ -14,6 +14,7 @@ from hirzquant.counting import (
     count_brute_force,
     count_simplex_closed_form,
     count_slice_sum,
+    lattice_points,
     monomial_basis,
 )
 from hirzquant.polytope import (
@@ -150,3 +151,5 @@ def test_brute_force_rejects_unbounded():
         count_brute_force(half_space)
     with pytest.raises(UnboundedPolytopeError):
         monomial_basis(half_space)
+    with pytest.raises(UnboundedPolytopeError):
+        lattice_points(half_space)  # at the call, before any point is asked for

@@ -1,9 +1,9 @@
-"""The row-bounded scan kernel against the box odometer in ``oracles``."""
+"""The row-bounded scan kernel and its point walker against the box scans in ``oracles``."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -47,6 +47,15 @@ def boxed_rows(draw):
 @given(boxed_rows())
 def test_kernel_matches_oracle_property(case):
     assert counting.count_box(*case) == oracles.count_box(*case)
+
+
+@settings(max_examples=300)
+@given(boxed_rows())
+@example(([(1, 1), (0, 0)], [3, -1], [0, 0], [2, 2]))  # an all-zero infeasible row
+def test_walker_matches_oracle_property(case):
+    points = list(counting.walk_box(*case))
+    assert points == oracles.box_points(*case)
+    assert len(points) == counting.count_box(*case)[0]
 
 
 def test_pure_kernel_profile_semantics():
