@@ -15,10 +15,12 @@ import sys
 from . import analysis, counting, sweep, verify
 from .analysis import BernoulliConvention
 from .polytope import (
+    Box,
     FibrationParams,
     HPolytope,
-    box_cell_count,
+    bounding_box,
     build_hirzebruch_polytope,
+    cell_count,
     vertices,
 )
 from .quantization import quantization_dimension
@@ -45,10 +47,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        code = args.handler(args, parser)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
     except verify.ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError as exc:
+        # Point stdout at devnull, so the flush at exit has nothing left to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,9 +221,12 @@ def _guard(what: str, size: int, limit: int, force: bool) -> None:
         )
 
 
-def _guard_cells(poly: HPolytope, force: bool) -> None:
-    cells = box_cell_count(poly)
+def _guard_cells(poly: HPolytope, force: bool) -> Box:
+    """Refuse a scan above BRUTE_CELL_LIMIT unless --force; return the box to scan."""
+    box = bounding_box(poly)
+    cells = cell_count(box)
     _guard(f"scan of {cells} cells", cells, BRUTE_CELL_LIMIT, force)
+    return box
 
 
 def cmd_quantize(args, parser) -> int:
@@ -228,12 +242,12 @@ def cmd_quantize(args, parser) -> int:
         return EXIT_OK
 
     poly = build_hirzebruch_polytope(p)
-    _guard_cells(poly, args.force)
+    box = _guard_cells(poly, args.force)
     if args.method == "brute":
-        _print_json(counting.count_brute_force(poly).to_json())
+        _print_json(counting.count_brute_force(poly, box).to_json())
         return EXIT_OK
 
-    brute = counting.count_brute_force(poly).value
+    brute = counting.count_brute_force(poly, box).value
     sliced = counting.count_slice_sum(p).value
     closed = quantization_dimension(p).dimension
     agree = brute == sliced == closed
@@ -266,8 +280,8 @@ def cmd_polytope(args, parser) -> int:
     if args.inequalities:
         _print_json(poly.to_json())
         return EXIT_OK
-    _guard_cells(poly, args.force)
-    _print_points(counting.lattice_points(poly))
+    box = _guard_cells(poly, args.force)
+    _print_points(counting.lattice_points(poly, box))
     return EXIT_OK
 
 

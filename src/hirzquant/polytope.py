@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 LatticePoint = tuple[int, ...]
+# A (lower, upper) integer box, as `bounding_box` returns it.
+Box = tuple[LatticePoint, LatticePoint]
 
 
 class UnboundedPolytopeError(ValueError):
@@ -185,7 +187,7 @@ def slice_simplex(p: FibrationParams, t: int) -> SimplexParams:
     return SimplexParams(N=p.d, b=p.a + p.n * (p.b - t))
 
 
-def bounding_box(poly: HPolytope) -> tuple[LatticePoint, LatticePoint]:
+def bounding_box(poly: HPolytope) -> Box:
     """Componentwise integer bounds containing the polytope.
 
     Bounds are derived by interval propagation over the rows: a row gives a
@@ -233,9 +235,13 @@ def bounding_box(poly: HPolytope) -> tuple[LatticePoint, LatticePoint]:
 
 def box_cell_count(poly: HPolytope) -> int:
     """Number of integer points of the bounding box (the brute-force scan size)."""
-    lo, hi = bounding_box(poly)
+    return cell_count(bounding_box(poly))
+
+
+def cell_count(box: Box) -> int:
+    """Number of integer points of a (lower, upper) box."""
     cells = 1
-    for l, h in zip(lo, hi):
+    for l, h in zip(*box):
         cells *= max(0, h - l + 1)
     return cells
 

@@ -20,11 +20,13 @@ from . import analysis, counting, sweep
 from .analysis import BernoulliConvention
 from .combinat import binomial
 from .polytope import (
+    Box,
     FibrationParams,
     SimplexParams,
-    box_cell_count,
+    bounding_box,
     build_hirzebruch_polytope,
     build_simplex,
+    cell_count,
     dilate,
 )
 from .quantization import (
@@ -90,12 +92,15 @@ class ScanBudget:
     cell_limit: int = 1_000_000
     max_polytopes: int = 100_000
 
-    def charge(self, poly) -> None:
-        cells = box_cell_count(poly)
+    def charge(self, poly) -> Box:
+        """Refuse a scan of more cells than the limit; return the box to scan."""
+        box = bounding_box(poly)
+        cells = cell_count(box)
         if cells > self.cell_limit:
             raise ResourceLimitExceeded(
                 f"polytope scan of {cells} cells exceeds the cell limit {self.cell_limit}"
             )
+        return box
 
 
 def _tally(name: str, counterexamples, informational: bool = False) -> CheckResult:
@@ -157,8 +162,7 @@ def check_oracle_grid(
 
     def compare(p: FibrationParams) -> str | None:
         poly = build_hirzebruch_polytope(p)
-        budget.charge(poly)
-        brute = counting.count_brute_force(poly).value
+        brute = counting.count_brute_force(poly, budget.charge(poly)).value
         sliced = counting.count_slice_sum(p).value
         closed = quantization_dimension(p).dimension
         agree = brute == sliced == closed
@@ -175,8 +179,7 @@ def check_simplex_closed_form(
 
     def compare(params: SimplexParams) -> str | None:
         poly = build_simplex(params)
-        budget.charge(poly)
-        brute = counting.count_brute_force(poly).value
+        brute = counting.count_brute_force(poly, budget.charge(poly)).value
         closed = counting.count_simplex_closed_form(params).value
         return None if brute == closed else f"{params}: brute={brute} closed={closed}"
 
@@ -267,8 +270,7 @@ def check_ehrhart_dilation(budget: ScanBudget | None = None) -> CheckResult:
     p = FibrationParams(d=1, a=1, b=2, n=1)
     k = 100
     scaled = dilate(build_hirzebruch_polytope(p), k)
-    budget.charge(scaled)
-    count = counting.count_brute_force(scaled).value
+    count = counting.count_brute_force(scaled, budget.charge(scaled)).value
     volume = analysis.symplectic_volume(p)
     gap = abs(Fraction(count, k ** (p.d + 1)) - volume) / volume
     ok = gap < Fraction(1, 20)

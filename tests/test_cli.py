@@ -61,7 +61,7 @@ def test_quantize_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(
         counting,
         "count_brute_force",
-        lambda poly: CountResult(value=0, method=CountMethod.BRUTE_FORCE),
+        lambda poly, box=None: CountResult(value=0, method=CountMethod.BRUTE_FORCE),
     )
     code, out, err = run_cli(
         capsys, "quantize", "--d", "1", "--a", "1", "--b", "2", "--n", "1", "--method", "all"
@@ -420,3 +420,39 @@ def test_module_entry_point():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "OVERALL PASS"
     assert not any("worker_invariance" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polytope", "--d", "2", "--a", "2", "--b", "10", "--n", "2", "--basis"),
+        ("quantize", "--d", "1", "--a", "1", "--b", "1", "--n", "1"),
+    ],
+)
+def test_closed_stdout_exits_four(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # The reading end is closed before the command starts, so its first write
+    # to stdout fails, however short the output: a streamed basis fails while
+    # it is written, a one-line count at the final flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hirzquant", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=root,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_IO
+    assert proc.stderr.startswith("error: cannot write to stdout")
+    assert len(proc.stderr.splitlines()) == 1  # no traceback, no error at exit

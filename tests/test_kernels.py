@@ -1,4 +1,5 @@
-"""The row-bounded scan kernel and its point walker against the box scans in ``oracles``."""
+"""The row-bounded scan kernel, its floor sums and its point walker,
+against the box scans in ``oracles`` and direct sums."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hirzquant import counting
+from hirzquant.combinat import floor_sum
 from hirzquant.polytope import HPolytope
 
 CASES = [
@@ -76,8 +78,60 @@ def test_pure_kernel_empty_inner_axis():
     assert profile == [0, 0, 0]
 
 
-def test_huge_bounds_fall_back_to_pure_and_stay_exact():
-    # Three points near 10**20, far outside 64-bit integers: the count stays exact.
+def test_huge_bounds_stay_exact():
+    # Points near 10**20, far outside 64-bit integers: the counts stay exact.
     big = 10**20
     poly = HPolytope(dim=1, rows=(((1,), big), ((-1,), -(big - 2))))
     assert counting.count_brute_force(poly).value == 3
+    # A dim-3 simplex shifted to 10**20 on axes 0 and 1, so the plane's floor
+    # sums and crossings run on big integers: x + y + 3z <= 2*big + 7 over
+    # x, y >= big and 0 <= z <= 2 leaves a triangle of side 7 - 3z at each z.
+    coeffs = [(1, 1, 3), (-1, 0, 0), (0, -1, 0)]
+    bounds = [2 * big + 7, -big, -big]
+    lower, upper = [big, big, 0], [big + 7, big + 7, 2]
+    expected = oracles.count_box(coeffs, [7, 0, 0], [0, 0, 0], [7, 7, 2])
+    assert expected == (36 + 15 + 3, [36, 15, 3])
+    assert counting.count_box(coeffs, bounds, lower, upper) == expected
+
+
+# Small values of either sign, and values within 1000 of +-10**20.
+floor_sum_terms = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(10**20 - 1000, 10**20 + 1000),
+    st.integers(-(10**20) - 1000, -(10**20) + 1000),
+)
+
+
+@settings(max_examples=500)
+@given(st.integers(0, 60), st.integers(1, 50), floor_sum_terms, floor_sum_terms)
+def test_floor_sum_matches_direct_sum(n, m, a, b):
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        floor_sum(-1, 3, 1, 1)
+    with pytest.raises(ValueError):
+        floor_sum(4, 0, 1, 1)
+
+
+@st.composite
+def wide_boxes(draw):
+    """Up to 6 rows with coefficients up to 7 in dimension 3-4, over a box up
+    to 40 wide on axes 0 and 1, so a plane of those axes can have several
+    crossings of its bounding lines; the outer axes stay narrow so the
+    referee's box scan stays small."""
+    dim = draw(st.integers(3, 4))
+    nrows = draw(st.integers(1, 6))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-7, 7)] * dim), min_size=nrows, max_size=nrows))
+    bounds = draw(st.lists(st.integers(-40, 120), min_size=nrows, max_size=nrows))
+    lower = draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+    widths = draw(st.tuples(st.integers(0, 40), st.integers(0, 40), *[st.integers(0, 3)] * (dim - 2)))
+    upper = [lo + w for lo, w in zip(lower, widths)]
+    return coeffs, bounds, lower, upper
+
+
+@settings(max_examples=200)
+@given(wide_boxes())
+def test_kernel_matches_oracle_on_wide_boxes(case):
+    assert counting.count_box(*case) == oracles.count_box(*case)
